@@ -10,7 +10,7 @@ import json
 import sys
 import time
 
-from .rings import parse_ring
+from .rings import RingError, parse_ring
 from .words import parse_word, enumerate_words
 from .trees import parse_tree, enumerate_trees
 from .quilts import parse_quilt, enumerate_quilts
@@ -174,42 +174,74 @@ def _cmd_rep(args):
         print("VALID")
         return 0
     dia = load_diagram(args.diagram)
-    if args.action == "delta":
+    if args.cochain is None:
+        print("rep %s needs --cochain FILE" % args.action, file=sys.stderr)
+        return 2
+    try:
         f = _load_cochain(dia, args.cochain)
-        out = delta_total(f, args.max_p)
-        _dump_cochain(out)
+    except (OSError, ValueError) as e:
+        print("%s: %s" % (args.cochain, e), file=sys.stderr)
+        return 2
+    if args.action == "delta":
+        _dump_cochain(delta_total(f, args.max_p))
         return 0
     if args.action == "mc":
-        f = _load_cochain(dia, args.cochain)
         res = mc_residual(f, args.max_p)
         _dump_cochain(res)
         print("maurer-cartan solution: %s" % res.is_zero())
         return 0 if res.is_zero() else 1
     if args.action == "squaring":
-        f = _load_cochain(dia, args.cochain)
-        out = squaring(f, args.max_p)
-        _dump_cochain(out)
+        _dump_cochain(squaring(f, args.max_p))
         return 0
     raise SystemExit("unknown rep action %r" % args.action)
 
 
 def _load_cochain(dia, path):
-    """Cochain file: lines "p q morphisms... : out in... value"."""
+    """Cochain file: lines "p q morphisms... : out in... value".
+
+    Raises ValueError naming the first bad line: a malformed line, a value
+    outside the ring, a tuple outside the nerve in degree p, an index
+    without q+1 entries, or an index outside the dimensions of the target
+    (out) and source (in) algebras of the tuple.
+    """
+    from fractions import Fraction
     from .cochains import Cochain
+    cat = dia.category
     c = Cochain(dia)
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            head, tail = line.split(":")
-            bits = head.split()
-            p, q = int(bits[0]), int(bits[1])
-            tup = tuple(bits[2:])
-            vals = tail.split()
-            idx = tuple(int(v) for v in vals[:-1])
-            from fractions import Fraction
-            c._add((p, q), tup, idx, Fraction(vals[-1]))
+            try:
+                head, tail = line.split(":")
+                bits, vals = head.split(), tail.split()
+                p, q = int(bits[0]), int(bits[1])
+                if p < 0 or q < 0:
+                    raise ValueError
+                tup = tuple(bits[2:])
+                idx = tuple(int(v) for v in vals[:-1])
+                value = Fraction(vals[-1])
+            except (ValueError, IndexError, ZeroDivisionError):
+                raise ValueError("line %d: expected 'p q morphisms... : out in... value'"
+                                 % lineno) from None
+            try:
+                value = dia.ring.coerce(value)
+            except RingError as e:
+                raise ValueError("line %d: %s" % (lineno, e)) from None
+            if not cat.in_nerve(tup, p):
+                raise ValueError("line %d: %r is not in the nerve in degree %d"
+                                 % (lineno, " ".join(tup), p))
+            if len(idx) != q + 1:
+                raise ValueError("line %d: a (%d, %d) entry needs %d indices, got %d"
+                                 % (lineno, p, q, q + 1, len(idx)))
+            xs = cat.tuple_objects(tup)
+            dims = [dia.dims[xs[0]]] + [dia.dims[xs[-1]]] * q
+            if not all(0 <= i < d for i, d in zip(idx, dims)):
+                raise ValueError("line %d: index %s outside the dimensions %s"
+                                 % (lineno, " ".join(map(str, idx)),
+                                    " ".join(map(str, dims))))
+            c._add((p, q), tup, idx, value)
     return c
 
 

@@ -15,7 +15,8 @@ from itertools import combinations
 
 from .formal import FormalSum
 from .quilts import Quilt
-from .mquilt import MQuilt
+from .mquilt import MQuilt, gerstenhaber_element
+from .trees import Tree, parity_sign
 from .words import Word
 
 
@@ -113,16 +114,6 @@ class Cochain:
         return "; ".join(bits)
 
     __repr__ = __str__
-
-
-def zero_cochain(diagram):
-    return Cochain(diagram)
-
-
-def basis_cochain(diagram, p, q, tup, idx, value=1):
-    c = Cochain(diagram)
-    c._add((p, q), tup, idx, value)
-    return c
 
 
 def m_hat(diagram):
@@ -285,10 +276,7 @@ def coloring_sign(quilt, zetas, I, pvec, qvec, word_omega=None):
             nxt[u] = upto
 
     assert len(shuffled) == len(initial), (quilt, pvec, qvec, shuffled, initial)
-    seq = [pos_in_initial[letter] for letter in shuffled]
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
+    return parity_sign([pos_in_initial[letter] for letter in shuffled])
 
 
 def enumerate_colorings(quilt, pvec, qvec):
@@ -517,7 +505,6 @@ def delta_S(f, max_p=DEFAULT_MAX_P):
 
 
 def _column_quilts():
-    from .trees import Tree
     up = Quilt(Word((1, 2), 2), Tree((0, 0, 1), ((), (2,), ())))
     down = Quilt(Word((2, 1), 2), Tree((0, 2, 0), ((), (), (1,))))
     return up, down
@@ -538,21 +525,11 @@ def delta_total(f, max_p=DEFAULT_MAX_P):
 
 # ------------------------------------------------------------ operations
 
-def _gerstenhaber_elements(ring):
-    from .quilts import parse_quilt
-    from .mquilt import from_quilt
-    M2 = FormalSum(ring, [(MQuilt(parse_quilt("312;3(1,2)"), 1), 1)])
-    P2 = FormalSum(ring, [(from_quilt(parse_quilt("12;1(2)")), 1),
-                          (MQuilt(parse_quilt("3121;3(2,1)"), 1), 1)])
-    return M2, P2
-
-
 def cup(f, g, max_p=DEFAULT_MAX_P):
     """Cup product: the sign-corrected action of the multiplication
     element (act(M2) is (-1)^{|f|} f cup g)."""
     diagram = f.diagram
-    ring = diagram.ring
-    M2, _ = _gerstenhaber_elements(ring)
+    M2 = gerstenhaber_element("M2", diagram.ring)
     out = Cochain(diagram)
     for pq, comp in f.components():
         sgn = -1 if shifted_total(pq) % 2 else 1
@@ -562,15 +539,13 @@ def cup(f, g, max_p=DEFAULT_MAX_P):
 
 def circle_bar(f, g, max_p=DEFAULT_MAX_P):
     """The composition operation: the action of the pre-Lie element."""
-    _, P2 = _gerstenhaber_elements(f.diagram.ring)
+    P2 = gerstenhaber_element("P2", f.diagram.ring)
     return act(P2, [f, g], f.diagram, max_p)
 
 
 def bracket(f, g, max_p=DEFAULT_MAX_P):
     """Generalized Gerstenhaber bracket: the action of L2."""
-    from .mquilt import mq_permute
-    _, P2 = _gerstenhaber_elements(f.diagram.ring)
-    L2 = P2 - mq_permute(P2, {1: 2, 2: 1})
+    L2 = gerstenhaber_element("L2", f.diagram.ring)
     return act(L2, [f, g], f.diagram, max_p)
 
 

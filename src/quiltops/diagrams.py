@@ -103,6 +103,13 @@ class FiniteCategory:
             out = new
         return out
 
+    def in_nerve(self, tup, p):
+        """Whether tup is one of the tuples of nerve(p)."""
+        if p == 0:
+            return len(tup) == 1 and tup[0] in self.objects
+        return (len(tup) == p and all(f in self.morphisms for f in tup)
+                and all(self.src(f) == self.tgt(g) for f, g in zip(tup, tup[1:])))
+
     def path(self, tup, k, l):
         """The composition f_{k+1} o ... o f_l (identity when k == l)."""
         if k == l:

@@ -1,10 +1,11 @@
 """Faces, boundaries, extensions and partial composition.
 
-An extension realizes the splice of an inner structure into an outer one
-at a vertex a, mediated by the canonical maps
+An extension realizes the splice of an inner structure of arity n into
+an outer one at a vertex a.  The labels are identified by the canonical
+relabellings, written inline where they are used:
 
-    alpha(j) = j + a - 1            (inject the inner labels)
-    beta(k)  = k, a, or k + 1 - n   (collapse the inner block to a)
+    alpha(j)    = j + a - 1                  (inject the inner labels)
+    beta^-1(u)  = u if u < a, else u + n - 1 (outer labels other than a)
 
 Word extensions are generated constructively from weakly increasing maps
 kappa sending the non-final occurrences of a in the outer word to cut
@@ -15,46 +16,11 @@ filter over all candidates survives only in the test oracles.
 
 from itertools import combinations_with_replacement
 
-from .formal import FormalSum
+from .formal import FormalSum, linear_combination
 from .rings import ZZ
-from .trees import Tree
+from .trees import Tree, parity_sign
 from .words import Word
 from .quilts import Quilt
-
-
-def alpha_map(n, m, a):
-    return lambda j: j + a - 1
-
-
-def beta_map(n, m, a):
-    def beta(k):
-        if k < a:
-            return k
-        if k < a + n:
-            return a
-        return k + 1 - n
-    return beta
-
-
-class Extension:
-    """One extension: the result plus the maps identifying inner and outer."""
-
-    __slots__ = ("result", "inner_arity", "outer_arity", "a")
-
-    def __init__(self, result, inner_arity, outer_arity, a):
-        self.result = result
-        self.inner_arity = inner_arity
-        self.outer_arity = outer_arity
-        self.a = a
-
-    def alpha(self, j):
-        return j + self.a - 1
-
-    def beta(self, k):
-        return beta_map(self.inner_arity, self.outer_arity, self.a)(k)
-
-    def __repr__(self):
-        return "Ext(%r)" % (self.result,)
 
 
 # ---------------------------------------------------------------- faces
@@ -91,12 +57,8 @@ def face_sign(word, i):
 def boundary(x):
     """Signed sum of faces; lowers degree by one."""
     word = x.word if isinstance(x, Quilt) else x
-    out = FormalSum(ZZ)
-    for i in range(len(word.letters)):
-        f = face(x, i)
-        if f is not None:
-            out = out + FormalSum.single(f, face_sign(word, i))
-    return out
+    faces = ((face(x, i), i) for i in range(len(word.letters)))
+    return FormalSum(ZZ, [(f, face_sign(word, i)) for f, i in faces if f is not None])
 
 
 # ----------------------------------------------------------- extensions
@@ -212,10 +174,7 @@ def extension_sign(outer, inner, a, ext_word):
     target = ext_word.interposed()
     assert sorted(source) == sorted(target), (outer, inner, a, ext_word)
     pos = {v: i for i, v in enumerate(target)}
-    seq = [pos[v] for v in source]
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
+    return parity_sign([pos[v] for v in source])
 
 
 def quilt_extensions(outer, inner, a):
@@ -247,21 +206,12 @@ def compose(x, a, y):
 
 def boundary_sum(xs):
     """Linear extension of boundary to formal sums."""
-    from .formal import ring_map, combine
-    ring = xs.ring
-    out = FormalSum(ring)
-    for k, c in xs.terms.items():
-        out = combine(out, ring_map(boundary(k), ring), 1, c)
-    return out
+    return xs.bind(boundary)
 
 
 def compose_sums(xs, a, ys):
     """Bilinear extension of compose to formal sums."""
     ring = xs.ring
-    out = FormalSum(ring)
-    for kx, cx in xs.terms.items():
-        for ky, cy in ys.terms.items():
-            from .formal import ring_map, combine
-            out = combine(out, ring_map(compose(kx, a, ky), ring),
-                          1, ring.mul(cx, cy))
-    return out
+    return linear_combination(ring, ((ring.mul(cx, cy), compose(kx, a, ky))
+                                     for kx, cx in xs.terms.items()
+                                     for ky, cy in ys.terms.items()))

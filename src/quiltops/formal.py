@@ -5,6 +5,18 @@ elements (trees, words, quilts, m-quilts, cochain keys).  Keys must
 expose a total order through sort_key() or be plain sortable values;
 iteration and rendering always use that order, so reports are
 deterministic.
+
+There is one accumulation loop: the FormalSum constructor.  It adds a
+sequence of (key, coefficient) pairs into a single dict, inserting a key
+at its first nonzero coefficient and dropping it when it cancels, so the
+insertion order of `terms` depends only on the pair sequence.
+linear_combination, bind, combine, scale and map_keys all hand a pair
+sequence to it.  The marked normal form fills its memo tables in the
+order keys are visited, so a change to how a sum is built must keep the
+order in which it visits the terms.
+
+A FormalSum returned by any function is never mutated in place: callers
+may hold and share it, so derive a new sum instead.
 """
 
 from .rings import ZZ, Ring, RingError
@@ -23,11 +35,12 @@ class FormalSum:
         self.ring = ring
         data = {}
         if terms:
+            coerce, add, is_zero = ring.coerce, ring.add, ring.is_zero
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                c = ring.coerce(coeff)
+                c = coerce(coeff)
                 if key in data:
-                    c = ring.add(data[key], c)
-                if ring.is_zero(c):
+                    c = add(data[key], c)
+                if is_zero(c):
                     data.pop(key, None)
                 else:
                     data[key] = c
@@ -87,11 +100,11 @@ class FormalSum:
         return FormalSum(self.ring, [(fn(k), v) for k, v in self.terms.items()])
 
     def bind(self, fn):
-        """Substitute each key by a FormalSum: sum of coeff * fn(key)."""
-        out = FormalSum(self.ring)
-        for k, v in self.terms.items():
-            out = combine(out, fn(k), 1, v)
-        return out
+        """Substitute each key by a FormalSum: sum of coeff * fn(key).
+
+        fn may return sums over another ring (usually ZZ); their
+        coefficients are coerced into self.ring."""
+        return linear_combination(self.ring, ((c, fn(k)) for k, c in self.terms.items()))
 
     def __str__(self):
         if not self.terms:
@@ -116,26 +129,29 @@ class FormalSum:
     __repr__ = __str__
 
 
+def linear_combination(ring, scaled_sums):
+    """The sum of c * s over the (c, s) pairs, in one constructor pass.
+
+    The coefficients c and those of each s (which may lie in another ring,
+    usually ZZ) are coerced into ring.  Terms are visited pair by pair in
+    the order given.
+    """
+    coerce, mul = ring.coerce, ring.mul
+
+    def terms():
+        for c, s in scaled_sums:
+            c = coerce(c)
+            for k, v in s.terms.items():
+                yield k, mul(c, coerce(v))
+
+    return FormalSum(ring, terms())
+
+
 def combine(a, b, ca=1, cb=1):
-    """Exact linear combination ca*a + cb*b with zero pruning."""
+    """Exact linear combination ca*a + cb*b of two sums over one ring."""
     if a.ring != b.ring:
         raise RingError("ring mismatch: %s vs %s" % (a.ring, b.ring))
-    ring = a.ring
-    ca = ring.coerce(ca)
-    cb = ring.coerce(cb)
-    data = {}
-    for src, c in ((a, ca), (b, cb)):
-        if ring.is_zero(c):
-            continue
-        for k, v in src.terms.items():
-            w = ring.add(data.get(k, ring.zero), ring.mul(c, v))
-            if ring.is_zero(w):
-                data.pop(k, None)
-            else:
-                data[k] = w
-    out = FormalSum(ring)
-    out.terms = data
-    return out
+    return linear_combination(a.ring, ((ca, a), (cb, b)))
 
 
 def ring_map(s, target):

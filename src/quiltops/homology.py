@@ -175,11 +175,7 @@ def project_to_brace(s):
     degrees to zero; all composition signs are +1 in degree 0."""
     if isinstance(s, Quilt):
         s = FormalSum.single(s)
-    out = FormalSum(s.ring)
-    for q, c in s.terms.items():
-        if q.degree == 0:
-            out = out + FormalSum(s.ring, [(q.tree, c)])
-    return out
+    return FormalSum(s.ring, [(q.tree, c) for q, c in s.terms.items() if q.degree == 0])
 
 
 def smith_normal_form(dense):

@@ -10,8 +10,9 @@ version, and passing to coinvariants gives the unsymmetrized version.
 
 from itertools import combinations
 
-from .formal import FormalSum, combine
+from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
+from .trees import parity_sign
 from .quilts import enumerate_quilts
 from .extensions import boundary_sum, compose_sums
 from .mquilt import (MQuilt, from_quilt, m_element, mq_compose, mq_permute,
@@ -38,12 +39,8 @@ def sgn_K(q):
     """(-1)^{1 + n(n-1)/2} times the sign of the permutation from labelled
     order to first-occurrence order."""
     n = q.n
-    down = q.word.down_order()
-    inv = sum(1 for i in range(n) for j in range(i + 1, n)
-              if down[i] > down[j])
-    base = -1 if inv % 2 else 1
     lead = -1 if (1 + n * (n - 1) // 2) % 2 else 1
-    return lead * base
+    return lead * parity_sign(q.word.down_order())
 
 
 def L0(n, ring=ZZ):
@@ -98,16 +95,8 @@ def shuffles(p, q):
     n = p + q
     out = []
     for first_block in combinations(range(1, n + 1), p):
-        rest = [x for x in range(1, n + 1) if x not in first_block]
-        sigma = {}
-        for i, v in enumerate(first_block):
-            sigma[i + 1] = v
-        for i, v in enumerate(rest):
-            sigma[p + i + 1] = v
-        image = [sigma[i] for i in range(1, n + 1)]
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if image[i] > image[j])
-        out.append((sigma, -1 if inv % 2 else 1))
+        image = first_block + tuple(x for x in range(1, n + 1) if x not in first_block)
+        out.append((dict(enumerate(image, 1)), parity_sign(image)))
     return out
 
 
@@ -115,37 +104,37 @@ def _perm_inverse(sigma):
     return {v: k for k, v in sigma.items()}
 
 
+def _shuffled(base, p, q, permute):
+    """The (c, term) pairs sgn_pq * sign * permute(base, inverse shuffle)
+    over the (p-1, q)-shuffles."""
+    sgn_pq = -1 if ((p - 1) * q) % 2 else 1
+    for sigma, sg in shuffles(p - 1, q):
+        yield sgn_pq * sg, permute(base, _perm_inverse(sigma))
+
+
 def linfty_residual_quilt(n, ring=ZZ):
     """d L0_n + sum over p+q=n+1 and shuffles of the signed compositions,
     relabelled by the inverse shuffle; zero by the structure theorem."""
-    res = boundary_sum(L0(n, ring)) if n >= 2 else FormalSum(ring)
-    for p in range(2, n):
-        q = n + 1 - p
-        if q < 2:
-            continue
-        base = compose_sums(L0(p, ring), p, L0(q, ring))
-        sgn_pq = -1 if ((p - 1) * q) % 2 else 1
-        for sigma, sg in shuffles(p - 1, q):
-            inv = _perm_inverse(sigma)
-            term = base.map_keys(lambda x: x.permute(inv))
-            res = combine(res, term, 1, ring.mul(ring.coerce(sgn_pq), ring.coerce(sg)))
-    return res
+    def terms():
+        if n >= 2:
+            yield 1, boundary_sum(L0(n, ring))
+        for p in range(2, n):
+            q = n + 1 - p
+            base = compose_sums(L0(p, ring), p, L0(q, ring))
+            yield from _shuffled(base, p, q,
+                                 lambda s, inv: s.map_keys(lambda x: x.permute(inv)))
+    return linear_combination(ring, terms())
 
 
 def linfty_residual_mquilt(n, ring=ZZ):
     """Same with L_n and the extended boundary in the marked operad."""
-    res = boundary_prime(L_full(n, ring))
-    for p in range(2, n):
-        q = n + 1 - p
-        if q < 2:
-            continue
-        base = mq_compose(L_full(p, ring), p, L_full(q, ring))
-        sgn_pq = -1 if ((p - 1) * q) % 2 else 1
-        for sigma, sg in shuffles(p - 1, q):
-            inv = _perm_inverse(sigma)
-            term = mq_permute(base, inv)
-            res = combine(res, term, 1, ring.mul(ring.coerce(sgn_pq), ring.coerce(sg)))
-    return reduce_sum(res)
+    def terms():
+        yield 1, boundary_prime(L_full(n, ring))
+        for p in range(2, n):
+            q = n + 1 - p
+            base = mq_compose(L_full(p, ring), p, L_full(q, ring))
+            yield from _shuffled(base, p, q, mq_permute)
+    return reduce_sum(linear_combination(ring, terms()))
 
 
 def linfty_residual_integer_route(n, ring=ZZ):
@@ -153,49 +142,34 @@ def linfty_residual_integer_route(n, ring=ZZ):
     sum to zero on the nose, without dividing by two.  Unlike the main
     relation, arity-one factors (where L1_1 is the Delta element)
     participate here."""
-    res = FormalSum(ring)
-    for p in range(1, n + 1):
-        q = n + 1 - p
-        if q < 1:
-            continue
-        base = mq_compose(L1(p, ring), p, L1(q, ring))
-        sgn_pq = -1 if ((p - 1) * q) % 2 else 1
-        for sigma, sg in shuffles(p - 1, q):
-            inv = _perm_inverse(sigma)
-            term = mq_permute(base, inv)
-            res = combine(res, term, 1, ring.mul(ring.coerce(sgn_pq), ring.coerce(sg)))
-    return reduce_sum(res)
+    def terms():
+        for p in range(1, n + 1):
+            q = n + 1 - p
+            base = mq_compose(L1(p, ring), p, L1(q, ring))
+            yield from _shuffled(base, p, q, mq_permute)
+    return reduce_sum(linear_combination(ring, terms()))
 
 
 def coinvariant_reduce(s):
     """Image in the coinvariants twisted by sign: each quilt is sent to
     its first-occurrence-labelled representative times the sign of the
     relabelling; orbits with odd stabilizer sign die."""
-    ring = s.ring
-    out = FormalSum(ring)
-    for x, c in s.terms.items():
+    def term(x, c):
         q = x.quilt if isinstance(x, MQuilt) else x
         down = q.word.down_order()
-        sigma = {down[i]: i + 1 for i in range(q.n)}
-        image = [sigma[i] for i in range(1, q.n + 1)]
-        inv = sum(1 for i in range(len(image)) for j in range(i + 1, len(image))
-                  if image[i] > image[j])
-        sg = -1 if inv % 2 else 1
-        rep = q.permute(_perm_inverse(sigma))
-        out = combine(out, FormalSum(ring, [(rep, ring.mul(c, ring.coerce(sg)))]))
-    return out
+        return q.permute({i + 1: v for i, v in enumerate(down)}), c * parity_sign(down)
+
+    return FormalSum(s.ring, (term(x, c) for x, c in s.terms.items()))
 
 
 def linfty_residual_coinvariant(n, ring=ZZ):
     """d P0_n + sum over p+q=n+1 and slots j of the signed compositions
     P0_p o_j P0_q, reduced into the sign-twisted coinvariants."""
-    res = boundary_sum(P0(n, ring))
-    for p in range(2, n):
-        q = n + 1 - p
-        if q < 2:
-            continue
-        for j in range(1, p + 1):
-            e = ((p - 1) * q + (p - j) * (q - 1)) % 2
-            sgn = -1 if e else 1
-            res = combine(res, compose_sums(P0(p, ring), j, P0(q, ring)), 1, sgn)
-    return coinvariant_reduce(res)
+    def terms():
+        yield 1, boundary_sum(P0(n, ring))
+        for p in range(2, n):
+            q = n + 1 - p
+            for j in range(1, p + 1):
+                e = ((p - 1) * q + (p - j) * (q - 1)) % 2
+                yield (-1 if e else 1), compose_sums(P0(p, ring), j, P0(q, ring))
+    return coinvariant_reduce(linear_combination(ring, terms()))

@@ -28,9 +28,9 @@ reducible by the implemented rules" rather than "nonzero in the operad".
 
 from functools import lru_cache
 
-from .formal import FormalSum, combine
+from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
-from .trees import Tree
+from .trees import Tree, parity_sign
 from .words import Word
 from .quilts import Quilt, check_axioms, QuiltAxiomViolated, identity_quilt
 from .extensions import compose, face, face_sign
@@ -83,23 +83,6 @@ M_ELEMENT_KEY = MQuilt(identity_quilt(), 1)
 
 def from_quilt(q):
     return MQuilt(q, 0)
-
-
-def _perm_sign(perm):
-    sgn = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sgn = -sgn
-    return sgn
 
 
 def _insertions(base, letters_to_place):
@@ -162,7 +145,7 @@ def _prenormal(quilt, mset):
         for i, v in enumerate(down):
             relabel[v] = n + 1 + i
         q2 = Quilt(w, tree).permute({new: old for old, new in relabel.items()})
-        sgn = _perm_sign([down.index(v) for v in sorted_marks])
+        sgn = parity_sign([down.index(v) for v in sorted_marks])
         cand = (poskey, q2.sort_key())
         if best is None or cand < best[0]:
             best = (cand, MQuilt(q2, len(mset)), sgn)
@@ -319,12 +302,10 @@ def _normal_form_of_key(key):
 def _reduce(sum_):
     """Reduce every key of a sum to its relation normal form."""
     ring = sum_.ring
-    out = FormalSum(ring)
-    for key, c in sum_.terms.items():
-        nf = _normal_form_of_key(key)
-        out = combine(out, FormalSum(ring, [(m, ring.coerce(f)) for m, f in nf.items()]),
-                      1, c)
-    return out
+    coerce, mul = ring.coerce, ring.mul
+    return FormalSum(ring, ((m, mul(c, coerce(f)))
+                            for key, c in sum_.terms.items()
+                            for m, f in _normal_form_of_key(key).items()))
 
 
 def normalize(quilt, mset, coeff=1, ring=ZZ):
@@ -350,21 +331,17 @@ def mq_compose_basis(x, a, y, ring=ZZ):
     sign = -1 if (kx * y.quilt.degree) % 2 else 1
     marks = ([v + a - 1 for v in range(ny + 1, Ny + 1)] +
              [u + Ny - 1 for u in range(nx + 1, nx + kx + 1)])
-    out = FormalSum(ring)
-    for q, c in compose(x.quilt, a, y.quilt).terms.items():
-        out = combine(out, prenormalize(q, marks, ring.mul(ring.coerce(sign), ring.coerce(c)), ring))
-    return _reduce(out)
+    return _reduce(linear_combination(ring, (
+        (sign * c, prenormalize(q, marks, 1, ring))
+        for q, c in compose(x.quilt, a, y.quilt).terms.items())))
 
 
 def mq_compose(xs, a, ys):
     """Bilinear extension of mq_compose_basis to formal sums."""
     ring = xs.ring
-    out = FormalSum(ring)
-    for kx, cx in xs.terms.items():
-        for ky, cy in ys.terms.items():
-            out = combine(out, mq_compose_basis(kx, a, ky, ring), 1,
-                          ring.mul(cx, cy))
-    return _reduce(out)
+    return _reduce(linear_combination(ring, (
+        (ring.mul(cx, cy), mq_compose_basis(kx, a, ky, ring))
+        for kx, cx in xs.terms.items() for ky, cy in ys.terms.items())))
 
 
 def m_element(ring=ZZ):
@@ -382,47 +359,50 @@ def delta_element(ring=ZZ):
 def mq_boundary(xs):
     """The word boundary, extended by zero on the marks."""
     ring = xs.ring
-    out = FormalSum(ring)
-    for x, c in xs.terms.items():
-        word = x.quilt.word
-        marks = x.marked()
-        for i in range(len(word.letters)):
-            f = face(x.quilt, i)
-            if f is None:
-                continue
-            out = combine(out, prenormalize(
-                f, marks, ring.mul(c, ring.coerce(face_sign(word, i))), ring))
-    return _reduce(out)
+
+    def terms():
+        for x, c in xs.terms.items():
+            word = x.quilt.word
+            marks = x.marked()
+            for i in range(len(word.letters)):
+                f = face(x.quilt, i)
+                if f is not None:
+                    yield (ring.mul(c, ring.coerce(face_sign(word, i))),
+                           prenormalize(f, marks, 1, ring))
+
+    return _reduce(linear_combination(ring, terms()))
 
 
 def mq_permute(xs, sigma):
     """Right action of a permutation of the unmarked slots."""
     ring = xs.ring
-    out = FormalSum(ring)
-    for x, c in xs.terms.items():
+
+    def image(x):
         full = dict(sigma) if isinstance(sigma, dict) else {
             i + 1: v for i, v in enumerate(sigma)}
         for v in range(1, x.arity + 1):
             full.setdefault(v, v)
         for v in x.marked():
             full[v] = v
-        q = x.quilt.permute(full)
-        out = combine(out, prenormalize(q, x.marked(), c, ring))
-    return _reduce(out)
+        return prenormalize(x.quilt.permute(full), x.marked(), 1, ring)
+
+    return _reduce(xs.bind(image))
 
 
 def ad_delta(xs):
     """ad_Delta x = Delta o_1 x - (-1)^{deg x} sum_a x o_a Delta."""
     ring = xs.ring
     delta = delta_element(ring)
-    out = FormalSum(ring)
-    for x, c in xs.terms.items():
-        one = FormalSum(ring, [(x, c)])
-        out = combine(out, mq_compose(delta, 1, one))
-        sgn = -1 if x.degree % 2 else 1
-        for a in range(1, x.arity + 1):
-            out = combine(out, mq_compose(one, a, delta), 1, ring.neg(ring.coerce(sgn)))
-    return _reduce(out)
+
+    def terms():
+        for x, c in xs.terms.items():
+            one = FormalSum(ring, [(x, c)])
+            yield 1, mq_compose(delta, 1, one)
+            sgn = 1 if x.degree % 2 else -1
+            for a in range(1, x.arity + 1):
+                yield sgn, mq_compose(one, a, delta)
+
+    return _reduce(linear_combination(ring, terms()))
 
 
 def boundary_prime(xs):
@@ -461,13 +441,8 @@ def gerstenhaber_element(name, ring=ZZ):
     if name == "L3":
         from itertools import permutations
         p3 = gerstenhaber_element("P3'", ring)
-        out = FormalSum(ring)
-        for perm in permutations((1, 2, 3)):
-            inv = sum(1 for i in range(3) for j in range(i + 1, 3)
-                      if perm[i] > perm[j])
-            sigma = {i + 1: perm[i] for i in range(3)}
-            out = combine(out, mq_permute(p3, sigma), 1, -1 if inv % 2 else 1)
-        return out
+        return linear_combination(ring, ((parity_sign(perm), mq_permute(p3, perm))
+                                         for perm in permutations((1, 2, 3))))
     if name == "C3":
         return one("41232;4(1(3),2)", 1)
     if name == "D3":
@@ -598,17 +573,10 @@ def ad_delta_via_modifications(q, ring=ZZ):
     (-1)^{deg} Q5_{u,v,w} o m over consecutive children pairs."""
     n = q.n
     sgn = -1 if q.degree % 2 else 1
-    out = FormalSum(ring)
-    for u in range(1, n + 1):
-        if not q.tree.children[u]:
-            continue
-        for kind in (3, 4):
-            out = combine(out, prenormalize(modification(q, kind, u), [n + 1],
-                                            ring.coerce(-sgn), ring))
-    for u in range(1, n + 1):
-        cs = q.tree.children[u]
-        for i in range(len(cs) - 1):
-            out = combine(out, prenormalize(
-                modification(q, 5, u, (cs[i], cs[i + 1])), [n + 1],
-                ring.coerce(sgn), ring))
-    return _reduce(out)
+    kids = q.tree.children
+    mods = [(-sgn, modification(q, kind, u))
+            for u in range(1, n + 1) if kids[u] for kind in (3, 4)]
+    mods += [(sgn, modification(q, 5, u, pair))
+             for u in range(1, n + 1) for pair in zip(kids[u], kids[u][1:])]
+    return _reduce(linear_combination(ring, ((c, prenormalize(m, [n + 1], 1, ring))
+                                             for c, m in mods)))

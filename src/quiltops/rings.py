@@ -15,7 +15,8 @@ class RingError(ValueError):
 
 
 class Ring:
-    """Base class; subclasses implement exact arithmetic on coefficients."""
+    """Base class; subclasses implement exact arithmetic on coefficients
+    and set the constants zero and one."""
 
     name = "?"
 
@@ -34,14 +35,6 @@ class Ring:
     def is_zero(self, a):
         raise NotImplementedError
 
-    @property
-    def one(self):
-        return self.coerce(1)
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
     def __eq__(self, other):
         return isinstance(other, Ring) and self.name == other.name
 
@@ -54,6 +47,7 @@ class Ring:
 
 class IntegerRing(Ring):
     name = "Z"
+    zero, one = 0, 1
 
     def coerce(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
@@ -77,9 +71,10 @@ class IntegerRing(Ring):
 
 class RationalRing(Ring):
     name = "Q"
+    zero, one = Fraction(0), Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -106,6 +101,8 @@ def _is_prime(p):
 
 
 class PrimeField(Ring):
+    zero, one = 0, 1
+
     def __init__(self, p):
         if not _is_prime(p):
             raise RingError("%r is not prime" % (p,))

@@ -196,6 +196,17 @@ def _invert(sigma, n):
     return inv
 
 
+def parity_sign(seq):
+    """(-1)^(number of inversions) of a list or tuple of distinct items;
+    for a permutation in one-line form this is its sign."""
+    inversions = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
 def parse_tree(text):
     """Parse the nested form "1(3,2)" meaning root 1 with children 3, 2."""
     text = text.strip()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quiltops.cli import main
 
 
@@ -124,3 +126,24 @@ def test_rep_squaring(tmp_path, capsys):
     code, out, _ = run(["rep", "squaring", "--diagram", str(p),
                         "--cochain", str(c)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("cochain", [
+    "0 2 x : 7 7 7 1\n",
+    "0 2 nosuch : 0 0 0 1\n",
+    "1 1 gamma : 0 1\n",
+    "2 1 gamma : 0 1 1\n",
+    None,
+], ids=["index-out-of-range", "unknown-object", "index-arity", "bidegree", "no-cochain"])
+def test_rep_malformed_cochain_exits_2(tmp_path, capsys, cochain):
+    p = tmp_path / "dia.txt"
+    p.write_text(DIAGRAM)
+    argv = ["rep", "mc", "--diagram", str(p)]
+    if cochain is not None:
+        c = tmp_path / "cochain.txt"
+        c.write_text("0 1 x : 0 0 1\n" + cochain)
+        argv += ["--cochain", str(c)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert "maurer-cartan" not in out
+    assert ("line 2:" in err) if cochain else ("--cochain" in err)

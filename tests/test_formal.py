@@ -83,3 +83,53 @@ def test_parse_ring():
 def test_deterministic_order():
     s = FormalSum(ZZ, [(parse_word(w), 1) for w in ("212", "12", "21", "121")])
     assert [str(k) for k in s.keys()] == ["12", "21", "121", "212"]
+
+
+def combine_oracle(a, b, ca=1, cb=1):
+    """Oracle: the two-sum combine that used to be the only accumulator,
+    copying both operands into a fresh dict."""
+    ring = a.ring
+    ca, cb = ring.coerce(ca), ring.coerce(cb)
+    data = {}
+    for src, c in ((a, ca), (b, cb)):
+        if ring.is_zero(c):
+            continue
+        for k, v in src.terms.items():
+            w = ring.add(data.get(k, ring.zero), ring.mul(c, v))
+            if ring.is_zero(w):
+                data.pop(k, None)
+            else:
+                data[k] = w
+    out = FormalSum(ring)
+    out.terms = data
+    return out
+
+
+def bind_fold(s, fn):
+    """Oracle: bind as the fold out = combine(out, coeff * fn(key))."""
+    out = FormalSum(s.ring)
+    for k, c in s.terms.items():
+        out = combine_oracle(out, ring_map(fn(k), s.ring), 1, c)
+    return out
+
+
+def test_bind_matches_combine_fold():
+    rng = random.Random(7)
+    keys = list("abcdefgh")
+    for ring in (ZZ, QQ, GF(3)):
+        for _ in range(200):
+            # images over ZZ on a few shared keys, so terms cancel and
+            # cancelled keys come back later in the fold
+            images = {k: FormalSum(ZZ, [(rng.choice(keys), rng.randrange(-3, 4))
+                                        for _ in range(rng.randrange(4))])
+                      for k in keys}
+            images["b"] = images["a"].scale(-1)
+            s = FormalSum(ring, [(k, rng.randrange(1, 3)) for k in rng.sample(keys, 5)])
+            got, want = s.bind(images.__getitem__), bind_fold(s, images.__getitem__)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            t = FormalSum(ring, [(rng.choice(keys), rng.randrange(-3, 4)) for _ in range(6)])
+            ca, cb = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            got, want = combine(s, t, ca, cb), combine_oracle(s, t, ca, cb)
+            assert got == want
+            assert list(got.terms) == list(want.terms)

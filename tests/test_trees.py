@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from quiltops.trees import Tree, TreeInvalid, enumerate_trees, parse_tree
+from quiltops.trees import Tree, TreeInvalid, enumerate_trees, parity_sign, parse_tree
 
 
 def catalan(n):
@@ -101,3 +102,30 @@ def test_permutation_action():
         r = dict(zip(range(1, 5), random.sample(range(1, 5), 4)))
         sr = {i: s[r[i]] for i in range(1, 5)}
         assert t.permute(s).permute(r) == t.permute(sr)
+
+
+def cycle_count_sign(perm):
+    """Oracle: the sign of a permutation of 0..n-1 from its cycle type,
+    (-1) to the number of cycles of even length."""
+    sgn = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        ln = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        if ln % 2 == 0:
+            sgn = -sgn
+    return sgn
+
+
+def test_parity_sign_matches_cycle_count():
+    for n in range(7):
+        for perm in itertools.permutations(range(n)):
+            assert parity_sign(perm) == cycle_count_sign(perm), perm
+            # only the relative order of the entries matters
+            assert parity_sign([3 * v + 1 for v in perm]) == cycle_count_sign(perm)
