@@ -14,7 +14,7 @@ The package is organized bottom-up:
 """
 
 from .rings import ZZ, QQ, GF, GF2, parse_ring
-from .formal import FormalSum, combine, linear_combination, ring_map
+from .formal import FormalSum, combine, ring_map
 from .trees import Tree, enumerate_trees, parse_tree
 from .words import Word, enumerate_words, parse_word, word_statistics
 from .quilts import (Quilt, QuiltAxiomViolated, validate_quilt, parse_quilt,

@@ -152,12 +152,12 @@ def _prenormal(quilt, mset):
     return best[1], best[2]
 
 
-def prenormalize(quilt, mset, coeff=1, ring=ZZ):
+def prenormalize(quilt, mset, ring=ZZ):
     res = _prenormal(quilt, frozenset(mset))
     if res is None:
         return FormalSum(ring)
     key, sgn = res
-    return FormalSum(ring, [(key, ring.mul(ring.coerce(coeff), ring.coerce(sgn)))])
+    return FormalSum(ring, [(key, sgn)])
 
 
 @lru_cache(maxsize=None)
@@ -308,9 +308,9 @@ def _reduce(sum_):
                             for m, f in _normal_form_of_key(key).items()))
 
 
-def normalize(quilt, mset, coeff=1, ring=ZZ):
+def normalize(quilt, mset, ring=ZZ):
     """Full normal form of a raw marked quilt as a FormalSum."""
-    return _reduce(prenormalize(quilt, mset, coeff, ring))
+    return _reduce(prenormalize(quilt, mset, ring))
 
 
 def reduce_sum(sum_):
@@ -332,7 +332,7 @@ def mq_compose_basis(x, a, y, ring=ZZ):
     marks = ([v + a - 1 for v in range(ny + 1, Ny + 1)] +
              [u + Ny - 1 for u in range(nx + 1, nx + kx + 1)])
     return _reduce(linear_combination(ring, (
-        (sign * c, prenormalize(q, marks, 1, ring))
+        (sign * c, prenormalize(q, marks, ring))
         for q, c in compose(x.quilt, a, y.quilt).terms.items())))
 
 
@@ -368,7 +368,7 @@ def mq_boundary(xs):
                 f = face(x.quilt, i)
                 if f is not None:
                     yield (ring.mul(c, ring.coerce(face_sign(word, i))),
-                           prenormalize(f, marks, 1, ring))
+                           prenormalize(f, marks, ring))
 
     return _reduce(linear_combination(ring, terms()))
 
@@ -384,7 +384,7 @@ def mq_permute(xs, sigma):
             full.setdefault(v, v)
         for v in x.marked():
             full[v] = v
-        return prenormalize(x.quilt.permute(full), x.marked(), 1, ring)
+        return prenormalize(x.quilt.permute(full), x.marked(), ring)
 
     return _reduce(xs.bind(image))
 
@@ -578,5 +578,5 @@ def ad_delta_via_modifications(q, ring=ZZ):
             for u in range(1, n + 1) if kids[u] for kind in (3, 4)]
     mods += [(sgn, modification(q, 5, u, pair))
              for u in range(1, n + 1) for pair in zip(kids[u], kids[u][1:])]
-    return _reduce(linear_combination(ring, ((c, prenormalize(m, [n + 1], 1, ring))
+    return _reduce(linear_combination(ring, ((c, prenormalize(m, [n + 1], ring))
                                              for c, m in mods)))
