@@ -11,7 +11,7 @@ for the non-identity composable pairs, structure constants as
 
 from fractions import Fraction
 
-from .rings import QQ, parse_ring
+from .rings import QQ, RingError, parse_ring
 
 
 class DiagramError(ValueError):
@@ -32,6 +32,10 @@ class NotHomomorphism(DiagramError):
 
 class BadShape(DiagramError):
     pass
+
+
+class DiagramSyntaxError(DiagramError):
+    """A line of a diagram file that does not parse."""
 
 
 class FiniteCategory:
@@ -256,8 +260,9 @@ class DiagramOfAlgebras:
         return self
 
 
-def _parse_value(s):
-    return Fraction(s)
+_USAGE = {"ring": "ring R", "object": "object NAME DIM",
+          "morphism": "morphism NAME SRC TGT", "compose": "compose G F H",
+          "mult": "mult OBJ I J K VALUE", "matrix": "matrix NAME ENTRIES..."}
 
 
 def parse_diagram(text, validate=True):
@@ -269,29 +274,37 @@ def parse_diagram(text, validate=True):
     table = {}
     mult = {}
     matrix_rows = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         kw = parts[0]
-        if kw == "ring":
-            ring = parse_ring(parts[1])
-        elif kw == "object":
-            objects.append(parts[1])
-            dims[parts[1]] = int(parts[2])
-            mult[parts[1]] = {}
-        elif kw == "morphism":
-            morphisms[parts[1]] = (parts[2], parts[3])
-        elif kw == "compose":
-            table[(parts[1], parts[2])] = parts[3]
-        elif kw == "mult":
-            x, i, j, k = parts[1], int(parts[2]), int(parts[3]), int(parts[4])
-            mult[x][(i - 1, j - 1, k - 1)] = _parse_value(parts[5])
-        elif kw == "matrix":
-            matrix_rows[parts[1]] = [_parse_value(v) for v in parts[2:]]
-        else:
-            raise DiagramError("unknown keyword %r" % kw)
+        if kw not in _USAGE:
+            raise DiagramSyntaxError("line %d: unknown keyword %r" % (lineno, kw))
+        try:
+            if kw != "matrix" and len(parts) != len(_USAGE[kw].split()):
+                raise ValueError
+            if kw == "ring":
+                ring = parse_ring(parts[1])
+            elif kw == "object":
+                objects.append(parts[1])
+                dims[parts[1]] = int(parts[2])
+                mult[parts[1]] = {}
+            elif kw == "morphism":
+                morphisms[parts[1]] = (parts[2], parts[3])
+            elif kw == "compose":
+                table[(parts[1], parts[2])] = parts[3]
+            elif kw == "mult":
+                x, i, j, k = parts[1], int(parts[2]), int(parts[3]), int(parts[4])
+                mult[x][(i - 1, j - 1, k - 1)] = Fraction(parts[5])
+            else:
+                matrix_rows[parts[1]] = [Fraction(v) for v in parts[2:]]
+        except RingError as e:
+            raise DiagramSyntaxError("line %d: %s" % (lineno, e)) from None
+        except (ValueError, IndexError, KeyError, ZeroDivisionError):
+            raise DiagramSyntaxError("line %d: expected '%s'"
+                                     % (lineno, _USAGE[kw])) from None
     cat = FiniteCategory(objects, morphisms, table)
     matrices = {}
     for f, vals in matrix_rows.items():

@@ -1,13 +1,17 @@
 """Chain complexes of the quilt operad by arity, and exact homology ranks.
 
 The arity-n complex has the degree-k quilts as basis in degree k and the
-word boundary as differential.  Ranks are computed by exact sparse
-Gaussian elimination (integer entries, rational arithmetic only when an
-unavoidable non-unit pivot appears); torsion can be reported through an
-integer Smith normal form on the small complexes.
+word boundary as differential.  Ranks come from one exact sparse Gaussian
+elimination for Q and for prime fields, pivoting on the shortest remaining
+row (a lazy min-heap keyed by row length) and in it on a unit (+-1) in the
+column with the fewest rows.  Over Q the entries stay ints until a row
+without a unit forces a non-unit pivot, which the quilt complexes through
+arity 5 never do.  Torsion comes from an integer Smith normal form on the
+small complexes.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .formal import FormalSum
 from .quilts import Quilt, enumerate_quilts
@@ -64,87 +68,60 @@ def build_complex(n, progress=None):
     return ChainComplex(n, bases, matrices)
 
 
-def _rows_from_columns(cols, coerce):
+def sparse_rank(cols, ring=QQ, progress=None):
+    """Exact rank of a sparse matrix given as columns {col: {row: value}},
+    over a prime field or else over Q.  A row whose length changes is
+    pushed on the heap again; entries whose length is out of date are
+    skipped when popped."""
+    p = ring.p if isinstance(ring, PrimeField) else 0
+    coerce = ring.coerce if p else (lambda v: v)
+    minus_one = p - 1 if p else -1
     rows = {}
+    col_rows = {}
     for j, col in cols.items():
         for i, v in col.items():
-            rows.setdefault(i, {})[j] = coerce(v)
-    return rows
-
-
-def sparse_rank(cols, ring=QQ, progress=None):
-    """Exact rank of a sparse matrix given as columns {col: {row: value}}.
-
-    Markowitz-style pivoting, preferring unit pivots so that elimination
-    stays in the integers as long as possible.
-    """
-    if isinstance(ring, PrimeField):
-        coerce = ring.coerce
-        div = lambda a, b: ring.mul(a, ring.inv(b))
-        is_zero = ring.is_zero
-    else:
-        coerce = lambda v: v
-        is_zero = lambda v: v == 0
-
-        def div(a, b):
-            # exact division, staying integral whenever possible
-            if isinstance(a, int) and isinstance(b, int):
-                q, r = divmod(a, b)
-                return q if r == 0 else Fraction(a, b)
-            return Fraction(a) / Fraction(b)
-
-    rows = _rows_from_columns(cols, coerce)
-    rows = {i: {j: v for j, v in r.items() if not is_zero(v)} for i, r in rows.items()}
-    rows = {i: r for i, r in rows.items() if r}
-    col_rows = {}
-    for i, r in rows.items():
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
+            v = coerce(v)
+            if v:
+                rows.setdefault(i, {})[j] = v
+                col_rows.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapify(heap)
 
     rank = 0
-    while rows:
-        # pick a pivot: unit entries first, then lowest fill estimate
-        best = None
-        for i, r in rows.items():
-            li = len(r)
-            for j, v in r.items():
-                unit = (v == 1 or v == -1) if not isinstance(ring, PrimeField) else (v == 1 or v == ring.p - 1)
-                cost = (li - 1) * (len(col_rows[j]) - 1)
-                key = (not unit, cost)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if key == (False, 0):
-                        break
-            if best and best[0] == (False, 0):
-                break
-        _, pi, pj = best
-        pivot_row = rows.pop(pi)
-        pv = pivot_row[pj]
+    while heap:
+        length, pi = heappop(heap)
+        pivot_row = rows.get(pi)
+        if pivot_row is None or len(pivot_row) != length:
+            continue                        # stale entry
+        del rows[pi]
         for j in pivot_row:
             col_rows[j].discard(pi)
-        targets = [i for i in col_rows.get(pj, set())]
-        for i in targets:
+        units = [j for j, v in pivot_row.items() if v == 1 or v == minus_one]
+        pj = min(units or pivot_row, key=lambda j: len(col_rows[j]))
+        pv = pivot_row.pop(pj)
+        if units:
+            inv = pv                        # a unit is its own inverse
+        else:
+            inv = pow(pv, -1, p) if p else 1 / Fraction(pv)
+        for i in col_rows.pop(pj):
             r = rows[i]
-            factor = div(r[pj], pv)
+            before = len(r)
+            factor = r.pop(pj) * inv
             for j, v in pivot_row.items():
-                if isinstance(ring, PrimeField):
-                    w = ring.add(r.get(j, 0), ring.neg(ring.mul(factor, v)))
-                    dead = ring.is_zero(w)
-                else:
-                    w = r.get(j, 0) - factor * v
-                    if isinstance(w, Fraction) and w.denominator == 1:
-                        w = int(w)
-                    dead = (w == 0)
-                if dead:
-                    if j in r:
-                        del r[j]
-                        col_rows[j].discard(i)
-                else:
+                w = r.get(j, 0) - factor * v
+                if p:
+                    w %= p
+                if w:
                     if j not in r:
-                        col_rows.setdefault(j, set()).add(i)
+                        col_rows[j].add(i)
                     r[j] = w
+                elif j in r:
+                    del r[j]
+                    col_rows[j].discard(i)
             if not r:
                 del rows[i]
+            elif len(r) != before:
+                heappush(heap, (len(r), i))
         rank += 1
         if progress and rank % 500 == 0:
             progress("rank %d, %d rows left" % (rank, len(rows)))

@@ -1,7 +1,8 @@
 """Acceptance suite: one check per criterion, timed against its budget.
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
-criterion; the arity-5 computations live behind the `deep` marker.
+criterion; the arity-5 marked L-infinity relation lives behind the `deep`
+marker.
 """
 
 import math
@@ -141,13 +142,12 @@ def test_criterion_5_acyclicity():
     report("5 acyclicity n<=4 and H0 ranks", t0, 120)
 
 
-@pytest.mark.deep
 def test_criterion_5_deep_acyclicity_arity5():
     t0 = time.time()
     c = build_complex(5)
     rows = homology_ranks(c, QQ)
     assert [(k, h) for k, _, h in rows] == [(0, 1680), (1, 0), (2, 0), (3, 0)]
-    print("PASS  5d acyclicity n=5 %.1fs" % (time.time() - t0))
+    report("5d acyclicity n=5", t0, 60)
 
 
 def test_criterion_6_gerstenhaber_homotopies():

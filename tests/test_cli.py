@@ -43,7 +43,7 @@ def test_homology(capsys):
     code, out, _ = run(["homology", "--arity", "3"], capsys)
     assert code == 0
     assert "acyclic in positive degrees: True" in out
-    code, out, err = run(["homology", "--arity", "5"], capsys)
+    code, out, err = run(["homology", "--arity", "6"], capsys)
     assert code == 2  # gated behind --deep
 
 
@@ -147,3 +147,25 @@ def test_rep_malformed_cochain_exits_2(tmp_path, capsys, cochain):
     assert code == 2
     assert "maurer-cartan" not in out
     assert ("line 2:" in err) if cochain else ("--cochain" in err)
+
+
+def test_rep_short_diagram_line_exits_2(tmp_path, capsys):
+    p = tmp_path / "dia.txt"
+    p.write_text("ring F2\nobject x\n")
+    c = tmp_path / "cochain.txt"
+    c.write_text("")
+    code, out, err = run(["rep", "delta", "--diagram", str(p),
+                          "--cochain", str(c)], capsys)
+    assert code == 2
+    assert out == "" and "line 2:" in err and len(err.splitlines()) == 1
+
+
+def test_rep_nerve_depth_exceeded_exits_2(tmp_path, capsys):
+    p = tmp_path / "dia.txt"
+    p.write_text(DIAGRAM)
+    c = tmp_path / "cochain.txt"
+    c.write_text("4 1 id_x id_x id_x id_x : 0 0 1\n")
+    code, out, err = run(["rep", "delta", "--diagram", str(p),
+                          "--cochain", str(c)], capsys)
+    assert code == 2
+    assert out == "" and "nerve depth 5" in err and len(err.splitlines()) == 1
