@@ -92,6 +92,10 @@ def _cmd_compose(args):
         return parse_word(text)
     x = parse_any(args.left)
     y = parse_any(args.right)
+    if not 1 <= args.slot <= x.n:
+        print("compose: slot %d is outside 1..%d, the arity of %s"
+              % (args.slot, x.n, args.left), file=sys.stderr)
+        return 2
     print(compose(x, args.slot, y))
     return 0
 

@@ -16,6 +16,7 @@ from itertools import combinations
 from .formal import FormalSum
 from .quilts import Quilt
 from .mquilt import MQuilt, gerstenhaber_element
+from .linfty import P_full
 from .trees import Tree, parity_sign
 from .words import Word
 
@@ -571,20 +572,13 @@ def subcomplex_check(f, which):
 
 # ------------------------------------------------------------ Maurer-Cartan
 
-def _p_elements(ring):
-    from .linfty import P_full
-    return P_full(2, ring), P_full(3, ring), P_full(4, ring)
-
-
 def mc_residual(f, max_p=DEFAULT_MAX_P):
     """delta f + P2(f,f) + P3(f,f,f) + P4(f,f,f,f); the solutions describe
     the deformations of the diagram."""
     diagram = f.diagram
-    P2, P3, P4 = _p_elements(diagram.ring)
     res = delta_total(f, max_p)
-    res = res + act(P2, [f, f], diagram, max_p)
-    res = res + act(P3, [f, f, f], diagram, max_p)
-    res = res + act(P4, [f, f, f, f], diagram, max_p)
+    for n in (2, 3, 4):
+        res = res + act(P_full(n, diagram.ring), [f] * n, diagram, max_p)
     return res
 
 

@@ -274,6 +274,7 @@ def parse_diagram(text, validate=True):
     table = {}
     mult = {}
     matrix_rows = {}
+    where = {}    # (keyword, name) -> line, for the reference checks below
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -293,18 +294,34 @@ def parse_diagram(text, validate=True):
                 mult[parts[1]] = {}
             elif kw == "morphism":
                 morphisms[parts[1]] = (parts[2], parts[3])
+                where[kw, parts[1]] = lineno
             elif kw == "compose":
                 table[(parts[1], parts[2])] = parts[3]
+                where[kw, (parts[1], parts[2])] = lineno
             elif kw == "mult":
                 x, i, j, k = parts[1], int(parts[2]), int(parts[3]), int(parts[4])
                 mult[x][(i - 1, j - 1, k - 1)] = Fraction(parts[5])
             else:
                 matrix_rows[parts[1]] = [Fraction(v) for v in parts[2:]]
+                where[kw, parts[1]] = lineno
         except RingError as e:
             raise DiagramSyntaxError("line %d: %s" % (lineno, e)) from None
         except (ValueError, IndexError, KeyError, ZeroDivisionError):
             raise DiagramSyntaxError("line %d: expected '%s'"
                                      % (lineno, _USAGE[kw])) from None
+
+    def check(kw, key, kind, names, declared):
+        for name in names:
+            if name not in declared:
+                raise DiagramSyntaxError("line %d: undeclared %s %r"
+                                         % (where[kw, key], kind, name))
+    for f, ends in morphisms.items():
+        check("morphism", f, "object", ends, dims)
+    arrows = set(morphisms) | {"id_%s" % x for x in objects}
+    for gf, h in table.items():
+        check("compose", gf, "morphism", gf + (h,), arrows)
+    for f in matrix_rows:
+        check("matrix", f, "morphism", (f,), arrows)
     cat = FiniteCategory(objects, morphisms, table)
     matrices = {}
     for f, vals in matrix_rows.items():

@@ -8,6 +8,7 @@ word boundary.  Composing with the odd generator gives the marked
 version, and passing to coinvariants gives the unsymmetrized version.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from .formal import FormalSum, combine, linear_combination
@@ -75,14 +76,25 @@ def P0(n, ring=ZZ):
     return FormalSum(ring, terms)
 
 
+@lru_cache(maxsize=None)
 def P0_m(n, ring=ZZ):
+    """P0 as a sum of unmarked basis elements of the marked operad.
+
+    Built once per (n, ring): every caller gets the same FormalSum, which
+    must not be mutated in place.
+    """
     lead = -1 if (1 + n * (n - 1) // 2) % 2 else 1
     return FormalSum(ring, [(from_quilt(q), lead) for q in maximal_quilts(n)
                             if q.word.down_order() == list(range(1, n + 1))])
 
 
+@lru_cache(maxsize=None)
 def P_full(n, ring=ZZ):
-    """P_n = P0_n + P0_{n+1} o_1 m, the unsymmetrized L_n."""
+    """P_n = P0_n + P0_{n+1} o_1 m, the unsymmetrized L_n.
+
+    Built once per (n, ring): every caller gets the same FormalSum, which
+    must not be mutated in place.
+    """
     return combine(P0_m(n, ring), mq_compose(P0_m(n + 1, ring), 1, m_element(ring)))
 
 

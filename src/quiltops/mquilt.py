@@ -344,12 +344,23 @@ def mq_compose(xs, a, ys):
         for kx, cx in xs.terms.items() for ky, cy in ys.terms.items())))
 
 
+@lru_cache(maxsize=None)
 def m_element(ring=ZZ):
+    """The odd generator m.
+
+    Built once per ring: every caller gets the same FormalSum, which must
+    not be mutated in place.
+    """
     return FormalSum(ring, [(M_ELEMENT_KEY, 1)])
 
 
+@lru_cache(maxsize=None)
 def delta_element(ring=ZZ):
-    """The arity-1 element whose adjoint action extends the boundary."""
+    """The arity-1 element whose adjoint action extends the boundary.
+
+    Built once per ring: every caller gets the same FormalSum, which must
+    not be mutated in place.
+    """
     col = from_quilt(Quilt(Word((1, 2), 2), Tree((0, 0, 1), ((), (2,), ()))))
     one = FormalSum(ring, [(col, 1)])
     return combine(mq_compose(one, 1, m_element(ring)),
@@ -417,12 +428,16 @@ def to_quilt_sum(xs):
 
 # ----------------------------------------------- Gerstenhaber homotopies
 
+@lru_cache(maxsize=None)
 def gerstenhaber_element(name, ring=ZZ):
     """The named homotopy elements: the shifted product and bracket with
     the explicit homotopies for their relations.
 
     The combined derivation identity needs C3 - D3^(123): the permuted
     second-argument lemma is subtracted from the first-argument one.
+
+    Built once per (name, ring): every caller gets the same FormalSum,
+    which must not be mutated in place.
     """
     from .quilts import parse_quilt
 

@@ -283,7 +283,7 @@ def test_criterion_9_maurer_cartan():
         assert rep["mc_30_zero"] == rep["cocycle"], t
         holds += rep["mc_21_zero"] and rep["mc_30_zero"]
     assert 0 < holds < 25
-    report("9 Maurer-Cartan equivalence (200 + 25 samples)", t0, 120)
+    report("9 Maurer-Cartan equivalence (200 + 25 samples)", t0, 30)
 
 
 def test_criterion_10_char2_squaring():

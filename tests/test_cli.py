@@ -39,6 +39,13 @@ def test_compose(capsys):
     assert len(out.strip().split("+")) == 15
 
 
+@pytest.mark.parametrize("slot", ["0", "9"])
+def test_compose_slot_out_of_range_exits_2(capsys, slot):
+    code, out, err = run(["compose", "1232;1(3,2)", slot, "1232;1(3,2)"], capsys)
+    assert code == 2
+    assert out == "" and "outside 1..3" in err and len(err.splitlines()) == 1
+
+
 def test_homology(capsys):
     code, out, _ = run(["homology", "--arity", "3"], capsys)
     assert code == 0
@@ -169,3 +176,21 @@ def test_rep_nerve_depth_exceeded_exits_2(tmp_path, capsys):
                           "--cochain", str(c)], capsys)
     assert code == 2
     assert out == "" and "nerve depth 5" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("action", ["check-diagram", "mc"])
+@pytest.mark.parametrize("text, line", [
+    (DIAGRAM.replace("matrix gamma", "matrix nosuch"), 9),
+    (DIAGRAM.replace("morphism gamma x y", "morphism gamma x z"), 4),
+    (DIAGRAM + "compose gamma nosuch gamma\n", 10),
+], ids=["matrix", "morphism", "compose"])
+def test_rep_undeclared_reference_exits_2(tmp_path, capsys, action, text, line):
+    p = tmp_path / "dia.txt"
+    p.write_text(text)
+    c = tmp_path / "cochain.txt"
+    c.write_text("")
+    code, out, err = run(["rep", action, "--diagram", str(p),
+                          "--cochain", str(c)], capsys)
+    assert code == 2
+    assert out == "" and ("line %d: undeclared" % line) in err
+    assert len(err.splitlines()) == 1

@@ -156,9 +156,9 @@ def test_residual_integer_route():
 def test_jacobi_is_the_n3_case():
     # the arity-3 marked relation is the Jacobi lemma's content
     assert linfty_residual_mquilt(3).is_zero()
-    assert gerstenhaber_element("L3") == L_full(3) or True
-    # L3 from the homotopy section differs from L_3 by the permuted P3';
-    # both satisfy the same relation, which is what matters here
+    assert gerstenhaber_element("L3") == L_full(3)
+    # so the homotopy section's L3 (the antisymmetrized P3') is L_3, and the
+    # Jacobi homotopy below is the arity-3 L-infinity relation
     from quiltops.mquilt import mq_compose as mc
     L2 = gerstenhaber_element("L2")
     LL = mc(L2, 1, L2)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from quiltops.rings import GF2
+from quiltops.rings import GF2, QQ
 from quiltops.diagrams import DiagramError, category_two_diagram
 from quiltops.cochains import (Cochain, act, delta_total, mc_residual,
                                quartic_term_direct, deformed_diagram,
                                skew_check, squaring, circle_bar, cup)
-from quiltops.linfty import P_full
+from quiltops.linfty import P0_m, P_full
 
 from conftest import random_cochain
 
@@ -80,6 +80,28 @@ def test_mc_solutions_exist(cat2_F2):
         assert res.is_zero() == ok
         found += res.is_zero()
     assert found >= 1
+
+
+def test_cached_constants_are_shared_and_unchanged(cat2_Q, cat2_F2):
+    # P_n is built once per (n, ring) and handed to every caller, so acting
+    # with it must leave it as it was built
+    assert P_full(4, QQ) is P_full(4, QQ)
+    assert P_full(4, QQ) is not P_full(4, GF2)
+    held = {(n, ring): P_full(n, ring) for ring in (QQ, GF2) for n in (2, 3, 4)}
+    assert all(s.ring == ring for (n, ring), s in held.items())
+    cochains = [random_cochain(dia, 0, 2, seed=900 + t, density=0.5) +
+                random_cochain(dia, 1, 1, seed=910 + t, density=0.5) +
+                random_cochain(dia, 2, 0, seed=920 + t, density=0.5)
+                for dia in (cat2_Q, cat2_F2) for t in range(3)]
+    residuals = [mc_residual(f) for f in cochains]
+    assert all(P_full(n, ring) is s for (n, ring), s in held.items())
+    P_full.cache_clear()
+    P0_m.cache_clear()
+    for (n, ring), s in held.items():
+        rebuilt = P_full(n, ring)
+        assert rebuilt is not s
+        assert list(rebuilt.terms.items()) == list(s.terms.items())
+    assert [mc_residual(f) for f in cochains] == residuals
 
 
 def test_quartic_vanishes_asimplicially(cat2_F2):
