@@ -15,7 +15,7 @@ from .rings import RingError, parse_ring
 from .words import parse_word, enumerate_words
 from .trees import parse_tree, enumerate_trees
 from .quilts import parse_quilt, enumerate_quilts
-from .extensions import boundary, compose
+from .extensions import boundary, check_slot, compose
 
 
 class Report:
@@ -85,16 +85,21 @@ def _cmd_boundary(args):
 
 def _cmd_compose(args):
     def parse_any(text):
-        if ";" in text:
-            return parse_quilt(text)
-        if "(" in text:
-            return parse_tree(text)
-        return parse_word(text)
-    x = parse_any(args.left)
-    y = parse_any(args.right)
-    if not 1 <= args.slot <= x.n:
-        print("compose: slot %d is outside 1..%d, the arity of %s"
-              % (args.slot, x.n, args.left), file=sys.stderr)
+        parse = parse_quilt if ";" in text else parse_tree if "(" in text else parse_word
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise ValueError("cannot parse %r: %s" % (text, e))
+
+    try:
+        x = parse_any(args.left)
+        y = parse_any(args.right)
+        if type(x) is not type(y):
+            raise ValueError("cannot compose a %s with a %s"
+                             % (type(x).__name__.lower(), type(y).__name__.lower()))
+        check_slot(args.slot, x.n, x)
+    except ValueError as e:
+        print("compose: %s" % e, file=sys.stderr)
         return 2
     print(compose(x, args.slot, y))
     return 0

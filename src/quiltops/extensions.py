@@ -63,6 +63,13 @@ def boundary(x):
 
 # ----------------------------------------------------------- extensions
 
+def check_slot(a, arity, outer):
+    """Raise ValueError naming the slot unless 1 <= a <= arity."""
+    if not 1 <= a <= arity:
+        raise ValueError("slot %d is outside 1..%d, the arity of %s"
+                         % (a, arity, outer))
+
+
 def tree_extensions(outer, inner, a):
     """All extensions of the tree `outer` by `inner` at vertex a.
 
@@ -71,7 +78,7 @@ def tree_extensions(outer, inner, a):
     r children of a.
     """
     m, n = outer.n, inner.n
-    assert 1 <= a <= m
+    check_slot(a, m, outer)
     N = n + m - 1
     beta_inv = lambda u: u if u < a else u + n - 1
     inner_root = inner.root + a - 1
@@ -132,7 +139,7 @@ def word_extensions(outer, inner, a):
     Count: C(len(inner) + r - 1, r) for r+1 occurrences of a.
     """
     m, n = outer.n, inner.n
-    assert 1 <= a <= m
+    check_slot(a, m, outer)
     beta_inv = lambda u: u if u < a else u + n - 1
     occ = outer.occurrences(a)
     r = len(occ) - 1

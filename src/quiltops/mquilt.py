@@ -32,8 +32,8 @@ from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
 from .trees import Tree, parity_sign
 from .words import Word
-from .quilts import Quilt, check_axioms, QuiltAxiomViolated, identity_quilt
-from .extensions import compose, face, face_sign
+from .quilts import Quilt, check_axioms, identity_quilt
+from .extensions import check_slot, compose, face, face_sign
 
 
 class MQuilt:
@@ -85,30 +85,47 @@ def from_quilt(q):
     return MQuilt(q, 0)
 
 
-def _insertions(base, letters_to_place):
-    if not letters_to_place:
-        yield tuple(base)
-        return
-    x = letters_to_place[0]
-    for i in range(len(base) + 1):
-        yield from _insertions(base[:i] + [x] + base[i:], letters_to_place[1:])
+def _legal_gaps(tree, letters, x):
+    """The gaps 0..len(letters) where inserting a single x breaks no quilt
+    axiom involving x, so no later insertion can mend a gap left out: x
+    follows every strict ancestor, precedes every strict descendant, and
+    lies between two occurrences of u only when x is left of u."""
+    pre, end = tree._pre, tree._end
+    lo, hi = 0, len(letters)
+    banned = set()
+    seen = {}
+    for i, u in enumerate(letters):
+        if pre[u] < pre[x] <= end[u]:
+            lo = i + 1
+        elif pre[x] < pre[u] <= end[x]:
+            hi = min(hi, i)
+        if u in seen and not end[x] < pre[u]:
+            banned.update(range(seen[u] + 1, i + 1))
+        seen[u] = i
+    return [i for i in range(lo, hi + 1) if i not in banned]
 
 
 def _class_words(tree, word, mset):
-    """All valid words in the reposition class of the marked letters."""
-    base = [x for x in word.letters if x not in mset]
+    """All valid words in the reposition class of the marked letters, in
+    the order of inserting the marks ascending, each at every gap left to
+    right (_families takes the first adjacent word).  Only legal gaps are
+    tried, and every word made is still fully validated."""
     out = []
-    seen = set()
-    for cand in _insertions(base, sorted(mset)):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        try:
-            w = Word(cand, tree.n)
-            check_axioms(w, tree)
-        except (ValueError, QuiltAxiomViolated):
-            continue
-        out.append(w)
+
+    def place(letters, marks):
+        if not marks:
+            try:
+                w = Word(letters, tree.n)
+                check_axioms(w, tree)
+            except ValueError:
+                return
+            out.append(w)
+            return
+        x = marks[0]
+        for i in _legal_gaps(tree, letters, x):
+            place(letters[:i] + (x,) + letters[i:], marks[1:])
+
+    place(tuple(x for x in word.letters if x not in mset), sorted(mset))
     return out
 
 
@@ -324,7 +341,7 @@ def mq_compose_basis(x, a, y, ring=ZZ):
     passing the inserted element and for restoring ascending slot order
     of the marks.
     """
-    assert 1 <= a <= x.arity
+    check_slot(a, x.arity, x)
     kx = x.marks
     nx, ny = x.arity, y.arity
     Ny = y.quilt.n

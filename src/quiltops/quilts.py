@@ -9,6 +9,8 @@ The two axioms:
 The degree of a quilt is the degree of its word.
 """
 
+from functools import lru_cache
+
 from .trees import Tree, parse_tree
 from .words import Word, enumerate_words, parse_word
 
@@ -64,6 +66,7 @@ class Quilt:
 def check_axioms(word, tree):
     """Raise QuiltAxiomViolated with a witness if (word, tree) is no quilt."""
     letters = word.letters
+    pre, end = tree._pre, tree._end
     first, last = {}, {}
     for i, x in enumerate(letters):
         first.setdefault(x, i)
@@ -71,16 +74,14 @@ def check_axioms(word, tree):
     for u in range(1, word.n + 1):
         if first[u] != last[u]:
             for v in set(letters[first[u] + 1:last[u]]):
-                if v != u and not tree.left_of(v, u):
+                if v != u and not end[v] < pre[u]:
                     raise QuiltAxiomViolated(
                         2, u, v, "quilt axiom (2) fails: %d is not left of %d"
                         % (v, u))
     for u in range(1, word.n + 1):
         for v in range(1, word.n + 1):
-            if u == v:
-                continue
-            # axiom (1): some u before some v means u is not below v
-            if first[u] < last[v] and tree.lt(v, u):
+            # axiom (1): some u before some v means u is not strictly below v
+            if first[u] < last[v] and pre[v] < pre[u] <= end[v]:
                 raise QuiltAxiomViolated(1, u, v)
 
 
@@ -170,7 +171,7 @@ def compatible_trees(word):
             for v, p in parent.items():
                 par[v] = p
                 kid[v] = tuple(children[v])
-            out.append(Tree(tuple(par), tuple(kid)))
+            out.append(_shared_tree(tuple(par), tuple(kid)))
             return
         u = order[k]
         for p in order[:k]:
@@ -190,6 +191,11 @@ def compatible_trees(word):
         place(1)
     out.sort(key=Tree.sort_key)
     return out
+
+
+# One immutable Tree per (parent, children), at most the planar trees of
+# the arities enumerated: enumerate_quilts(5) puts 53,040 quilts on 1,680.
+_shared_tree = lru_cache(maxsize=None)(Tree)
 
 
 def enumerate_quilts(n, degree=None):

@@ -7,6 +7,12 @@ the planar structure.  The derived relations are
     u <= v  : u is an ancestor of v (root on top),
     u <| v  : u is strictly left of v (defined iff u, v are <=-incomparable).
 
+Both are O(1) from Euler-tour intervals: a depth-first walk visiting
+children left to right gives each vertex v its preorder number pre[v]
+and end[v], the largest one in its subtree.  Two subtree intervals are
+nested or disjoint in planar order, so u <= v iff
+pre[u] <= pre[v] <= end[u], and u <| v iff end[u] < pre[v].
+
 Vertices are 1-based throughout.
 """
 
@@ -19,7 +25,7 @@ class TreeInvalid(ValueError):
 
 
 class Tree:
-    __slots__ = ("n", "parent", "children", "_root", "_key", "_depth")
+    __slots__ = ("n", "parent", "children", "_root", "_key", "_depth", "_pre", "_end")
 
     def __init__(self, parent, children):
         """parent: tuple of length n+1 (index 0 unused, root has parent 0);
@@ -42,23 +48,31 @@ class Tree:
                     raise TreeInvalid("children inconsistent with parent")
         if len(seen) != n - 1 or children[0]:
             raise TreeInvalid("child lists must partition the non-root vertices")
-        # acyclicity / reachability of the root from every vertex
+        # acyclicity / reachability of the root; preorder, children left to right
         depth = [0] * (n + 1)
-        queue = [roots[0]]
-        visited = 1
-        while queue:
-            u = queue.pop()
-            for c in children[u]:
+        pre = [0] * (n + 1)
+        order = []
+        stack = [roots[0]]
+        while stack:
+            u = stack.pop()
+            pre[u] = len(order)
+            order.append(u)
+            for c in reversed(children[u]):
                 depth[c] = depth[u] + 1
-                visited += 1
-                queue.append(c)
-        if visited != n:
+                stack.append(c)
+        if len(order) != n:
             raise TreeInvalid("parent links contain a cycle or unreachable vertex")
+        end = pre[:]
+        for u in reversed(order):
+            if children[u]:
+                end[u] = end[children[u][-1]]
         self.n = n
         self.parent = parent
         self.children = children
         self._root = roots[0]
-        self._depth = tuple(d if d is not None else 0 for d in depth)
+        self._depth = tuple(depth)
+        self._pre = tuple(pre)
+        self._end = tuple(end)
         self._key = (n, parent, children)
 
     @classmethod
@@ -118,34 +132,16 @@ class Tree:
     def depth(self, v):
         return self._depth[v]
 
-    def ancestors(self, v):
-        """Vertices u with u <= v, from v up to the root (inclusive of v)."""
-        out = [v]
-        while self.parent[out[-1]]:
-            out.append(self.parent[out[-1]])
-        return out
-
     def le(self, u, v):
         """u <= v: u is an ancestor of v or u == v."""
-        while v and v != u:
-            v = self.parent[v]
-        return v == u
+        return self._pre[u] <= self._pre[v] <= self._end[u]
 
     def lt(self, u, v):
         return u != v and self.le(u, v)
 
     def left_of(self, u, v):
-        """u <| v: strictly left.  Only meaningful for <=-incomparable pairs."""
-        if u == v or self.le(u, v) or self.le(v, u):
-            return False
-        au = self.ancestors(u)[::-1]
-        av = self.ancestors(v)[::-1]
-        i = 0
-        while i < len(au) and i < len(av) and au[i] == av[i]:
-            i += 1
-        w = au[i - 1]
-        cs = self.children[w]
-        return cs.index(au[i]) < cs.index(av[i])
+        """u <| v: strictly left; False on every <=-comparable pair."""
+        return self._end[u] < self._pre[v]
 
     def corner_word(self):
         """Counterclockwise boundary reading; length = #vertices + #edges."""

@@ -166,7 +166,7 @@ def test_criterion_7_linfty():
         assert linfty_residual_mquilt(n).is_zero(), n
         assert linfty_residual_integer_route(n).is_zero(), n
         assert linfty_residual_coinvariant(n).is_zero(), n
-    report("7 L-infinity relations", t0, 180)
+    report("7 L-infinity relations", t0, 30)
 
 
 @pytest.mark.deep

@@ -46,6 +46,17 @@ def test_compose_slot_out_of_range_exits_2(capsys, slot):
     assert out == "" and "outside 1..3" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("left,right,message", [
+    ("1232;1(3,2)", "1232", "cannot compose a quilt with a word"),
+    ("12x", "12", "cannot parse '12x'"),
+    ("1232;1(3,2)", "1(2", "cannot parse '1(2'"),
+], ids=["quilt-with-word", "bad-word", "bad-tree"])
+def test_compose_bad_operand_exits_2(capsys, left, right, message):
+    code, out, err = run(["compose", left, "1", right], capsys)
+    assert code == 2
+    assert out == "" and message in err and len(err.splitlines()) == 1
+
+
 def test_homology(capsys):
     code, out, _ = run(["homology", "--arity", "3"], capsys)
     assert code == 0

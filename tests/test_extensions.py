@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import quiltops
 from quiltops.extensions import (face, face_sign, boundary, boundary_sum,
                                  tree_extensions, word_extensions,
                                  extension_sign, compose, compose_sums)
@@ -404,3 +408,28 @@ def test_equivariance():
         inv2 = {v: k for k, v in sig2.items()}
         rhs = compose(x, a, y).map_keys(lambda q: q.permute(inv2))
         assert lhs == rhs, (x, y, a, sigma)
+
+
+def test_slot_out_of_range_raises_under_optimize():
+    # the slot check must survive `python -O`, which strips asserts
+    code = (
+        "from quiltops.extensions import compose\n"
+        "from quiltops.mquilt import MQuilt, mq_compose_basis\n"
+        "from quiltops.quilts import parse_quilt\n"
+        "q = parse_quilt('1232;1(3,2)')\n"
+        "for call in (lambda: compose(q, 9, q), lambda: compose(q.tree, 0, q.tree),\n"
+        "             lambda: mq_compose_basis(MQuilt(q, 1), 3, MQuilt(q, 1))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n")
+    src = os.path.dirname(os.path.dirname(quiltops.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "slot 9 is outside 1..3, the arity of 1232",
+        "slot 0 is outside 1..3, the arity of 1(3,2)",
+        "slot 3 is outside 1..2, the arity of 1232;1(3,2)[m3]",
+    ]

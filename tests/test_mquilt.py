@@ -4,14 +4,16 @@ import pytest
 
 from quiltops.formal import FormalSum, combine
 from quiltops.rings import ZZ, GF2
-from quiltops.quilts import parse_quilt, enumerate_quilts, Quilt
+from quiltops.quilts import (parse_quilt, enumerate_quilts, Quilt, check_axioms,
+                             QuiltAxiomViolated)
+from quiltops.words import Word
 from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
                              mq_compose,
                              boundary_prime, mq_permute, ad_delta,
                              ad_delta_via_modifications,
                              normalize, to_quilt_sum,
                              gerstenhaber_element, verify_identity,
-                             IDENTITY_NAMES, modification)
+                             IDENTITY_NAMES, modification, _class_words)
 
 
 def elem(text, marks, coeff=1, ring=ZZ):
@@ -39,6 +41,48 @@ def test_relation_kills():
     # wedged marked letter: relation 4
     q = parse_quilt("1232;1(3,2)")
     assert normalize(q, {3}).is_zero()
+
+
+def _insertions(base, letters_to_place):
+    if not letters_to_place:
+        yield tuple(base)
+        return
+    x = letters_to_place[0]
+    for i in range(len(base) + 1):
+        yield from _insertions(base[:i] + [x] + base[i:], letters_to_place[1:])
+
+
+def _class_words_oracle(tree, word, mset):
+    """Oracle: every insertion of the marked letters, each validated."""
+    base = [x for x in word.letters if x not in mset]
+    out = []
+    seen = set()
+    for cand in _insertions(base, sorted(mset)):
+        if cand in seen:
+            continue
+        seen.add(cand)
+        try:
+            w = Word(cand, tree.n)
+            check_axioms(w, tree)
+        except (ValueError, QuiltAxiomViolated):
+            continue
+        out.append(w)
+    return out
+
+
+def test_class_words_match_oracle():
+    # same words in the same order: _families takes the first adjacent one
+    cases = 0
+    for n in range(1, 5):
+        for q in enumerate_quilts(n):
+            for k in range(1, min(3, n) + 1):
+                mset = frozenset(range(n - k + 1, n + 1))
+                if any(q.word.count(v) > 1 for v in mset):
+                    continue
+                assert (_class_words(q.tree, q.word, mset)
+                        == _class_words_oracle(q.tree, q.word, mset)), (q, k)
+                cases += 1
+    assert cases == 1773
 
 
 def test_reposition_classes_normalize_identically():

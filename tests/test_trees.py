@@ -44,6 +44,49 @@ def test_orders():
             assert sum(rels) == 1
 
 
+def _ancestors_oracle(t, v):
+    """Oracle: v and its ancestors, walked up the parent links."""
+    out = [v]
+    while t.parent[out[-1]]:
+        out.append(t.parent[out[-1]])
+    return out
+
+
+def _left_of_oracle(t, u, v):
+    """Oracle: compare the children of the lowest common ancestor through
+    which the root paths of u and v leave it."""
+    au = _ancestors_oracle(t, u)[::-1]
+    av = _ancestors_oracle(t, v)[::-1]
+    if u in av or v in au:
+        return False
+    i = 0
+    while au[i] == av[i]:
+        i += 1
+    cs = t.children[au[i - 1]]
+    return cs.index(au[i]) < cs.index(av[i])
+
+
+def test_interval_relations_match_ancestor_walk():
+    for n in range(1, 6):
+        for t in enumerate_trees(n):
+            for u in range(1, n + 1):
+                for v in range(1, n + 1):
+                    le = u in _ancestors_oracle(t, v)
+                    assert t.le(u, v) == le, (t, u, v)
+                    assert t.lt(u, v) == (le and u != v), (t, u, v)
+                    assert t.left_of(u, v) == _left_of_oracle(t, u, v), (t, u, v)
+
+
+def test_enumerated_quilts_share_equal_trees():
+    from quiltops.quilts import enumerate_quilts
+    shared = {}
+    for q in enumerate_quilts(4):
+        key = q.tree.key()
+        assert key == (q.tree.n, q.tree.parent, q.tree.children)
+        assert shared.setdefault(key, q.tree) is q.tree
+    assert len(shared) == len(enumerate_trees(4))
+
+
 def test_corner_word_examples():
     assert parse_tree("1").corner_word() == (1,)
     assert parse_tree("1(2)").corner_word() == (1, 2, 1)
