@@ -25,8 +25,8 @@ from .extensions import (face, face_sign, boundary, boundary_sum,
 from .homology import build_complex, homology_ranks, project_to_brace
 from .mquilt import (MQuilt, from_quilt, m_element, delta_element, normalize,
                      mq_compose, mq_boundary, boundary_prime, mq_permute,
-                     ad_delta, ad_delta_via_modifications,
-                     gerstenhaber_element, verify_identity, IDENTITY_NAMES)
+                     ad_delta, gerstenhaber_element, verify_identity,
+                     IDENTITY_NAMES)
 from .linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0, P_full,
                      linfty_residual_quilt, linfty_residual_mquilt,
                      linfty_residual_coinvariant)

@@ -3,7 +3,9 @@
 Every verification suite is a thin driver over module operations; the
 exit code is 0 exactly when all checks pass, so CI can gate on the
 identities.  Arity-6 homology and the arity-5 marked L-infinity relation
-sit behind --deep.
+sit behind --deep: without it such a request exits 2 before any check
+runs, as does a --max-arity that leaves nothing to check, so a PASS never
+hides a skipped or empty suite.
 """
 
 import argparse
@@ -143,16 +145,20 @@ def _verify_gerstenhaber(args):
 def _verify_linfty(args):
     from .linfty import (linfty_residual_quilt, linfty_residual_mquilt,
                         linfty_residual_coinvariant, linfty_residual_integer_route)
-    rep = Report("linfty", args.format)
     top = args.max_arity
+    if top < 2:
+        print("--max-arity %d leaves nothing to check: the relations start at "
+              "arity 2" % top, file=sys.stderr)
+        return 2
+    if args.target == "mquilt" and top >= 5 and not args.deep:
+        print("mquilt relation at arity %d needs --deep" % top, file=sys.stderr)
+        return 2
+    rep = Report("linfty", args.format)
     for n in range(2, top + 1):
         if args.target == "quilt":
             rep.run("quilt relation n=%d" % n,
                     lambda n=n: linfty_residual_quilt(n))
         elif args.target == "mquilt":
-            if n >= 5 and not args.deep:
-                print("skipping n=%d (needs --deep)" % n, file=sys.stderr)
-                continue
             rep.run("mquilt relation n=%d" % n,
                     lambda n=n: linfty_residual_mquilt(n))
             rep.run("integer route n=%d" % n,

@@ -14,11 +14,10 @@ vertex or a horizontal degree is 0.
 from itertools import combinations
 
 from .formal import FormalSum
-from .quilts import Quilt
+from .quilts import Quilt, column_quilt
 from .mquilt import MQuilt, gerstenhaber_element
 from .linfty import P_full
-from .trees import Tree, parity_sign
-from .words import Word
+from .trees import parity_sign
 
 
 class NerveDepthExceeded(RuntimeError):
@@ -505,18 +504,12 @@ def delta_S(f, max_p=DEFAULT_MAX_P):
     return out
 
 
-def _column_quilts():
-    up = Quilt(Word((1, 2), 2), Tree((0, 0, 1), ((), (2,), ())))
-    down = Quilt(Word((2, 1), 2), Tree((0, 2, 0), ((), (), (1,))))
-    return up, down
-
-
 def delta_H(f, max_p=DEFAULT_MAX_P):
     """Hochschild coboundary: the action of the column-quilt commutator
     with multiplication in the first slot."""
     diagram = f.diagram
-    up, down = _column_quilts()
-    elem = FormalSum(diagram.ring, [(up, 1), (down, -1)])
+    up = column_quilt()
+    elem = FormalSum(diagram.ring, [(up, 1), (up.permute({1: 2, 2: 1}), -1)])
     return act(elem, [m_hat(diagram), f], diagram, max_p)
 
 

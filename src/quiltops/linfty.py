@@ -17,7 +17,7 @@ from .trees import parity_sign
 from .quilts import enumerate_quilts
 from .extensions import boundary_sum, compose_sums
 from .mquilt import (MQuilt, from_quilt, m_element, mq_compose, mq_permute,
-                     boundary_prime, reduce_sum)
+                     boundary_prime)
 
 
 def maximal_quilts(n):
@@ -51,7 +51,7 @@ def L0(n, ring=ZZ):
 
 def L0_m(n, ring=ZZ):
     """L0 as a sum of unmarked basis elements of the marked operad."""
-    return FormalSum(ring, [(from_quilt(q), sgn_K(q)) for q in maximal_quilts(n)])
+    return L0(n, ring).map_keys(from_quilt)
 
 
 def L1(n, ring=ZZ):
@@ -69,11 +69,10 @@ def L_full(n, ring=ZZ):
 
 def P0(n, ring=ZZ):
     """(-1)^{1+n(n-1)/2} times the sum of maximal quilts labelled in
-    first-occurrence order."""
-    lead = -1 if (1 + n * (n - 1) // 2) % 2 else 1
-    terms = [(q, lead) for q in maximal_quilts(n)
-             if q.word.down_order() == list(range(1, n + 1))]
-    return FormalSum(ring, terms)
+    first-occurrence order: the maximal quilts on which sgn_K is that
+    leading sign alone."""
+    return FormalSum(ring, [(q, sgn_K(q)) for q in maximal_quilts(n)
+                            if q.word.down_order() == list(range(1, n + 1))])
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +82,7 @@ def P0_m(n, ring=ZZ):
     Built once per (n, ring): every caller gets the same FormalSum, which
     must not be mutated in place.
     """
-    lead = -1 if (1 + n * (n - 1) // 2) % 2 else 1
-    return FormalSum(ring, [(from_quilt(q), lead) for q in maximal_quilts(n)
-                            if q.word.down_order() == list(range(1, n + 1))])
+    return P0(n, ring).map_keys(from_quilt)
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +143,7 @@ def linfty_residual_mquilt(n, ring=ZZ):
             q = n + 1 - p
             base = mq_compose(L_full(p, ring), p, L_full(q, ring))
             yield from _shuffled(base, p, q, mq_permute)
-    return reduce_sum(linear_combination(ring, terms()))
+    return linear_combination(ring, terms())
 
 
 def linfty_residual_integer_route(n, ring=ZZ):
@@ -159,7 +156,7 @@ def linfty_residual_integer_route(n, ring=ZZ):
             q = n + 1 - p
             base = mq_compose(L1(p, ring), p, L1(q, ring))
             yield from _shuffled(base, p, q, mq_permute)
-    return reduce_sum(linear_combination(ring, terms()))
+    return linear_combination(ring, terms())
 
 
 def coinvariant_reduce(s):

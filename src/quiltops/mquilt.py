@@ -21,6 +21,13 @@ the component of each key (cached); a key's normal form is its reduction
 against the leaders of that echelon.  Relabelling the marks costs the
 sign of the permutation, the generator being odd.
 
+Every sum the module returns is in normal form, and a linear combination
+of sums in normal form stays in normal form: a reduced key is a
+non-leader of its component's echelon, so its normal form is itself.
+So _reduce runs only where raw prenormal sums are formed
+(normalize, mq_compose_basis, mq_boundary, mq_permute, ad_delta), once
+per sum.
+
 The rewriting rules are the ones the computations in low arity actually
 use; they are not proven confluent, so a nonzero residual may mean "not
 reducible by the implemented rules" rather than "nonzero in the operad".
@@ -32,7 +39,7 @@ from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
 from .trees import Tree, parity_sign
 from .words import Word
-from .quilts import Quilt, check_axioms, identity_quilt
+from .quilts import Quilt, check_axioms, column_quilt, identity_quilt
 from .extensions import check_slot, compose, face, face_sign
 
 
@@ -330,10 +337,6 @@ def normalize(quilt, mset, ring=ZZ):
     return _reduce(prenormalize(quilt, mset, ring))
 
 
-def reduce_sum(sum_):
-    return _reduce(sum_)
-
-
 def mq_compose_basis(x, a, y, ring=ZZ):
     """Partial composition of basis elements, normalized.
 
@@ -356,9 +359,9 @@ def mq_compose_basis(x, a, y, ring=ZZ):
 def mq_compose(xs, a, ys):
     """Bilinear extension of mq_compose_basis to formal sums."""
     ring = xs.ring
-    return _reduce(linear_combination(ring, (
+    return linear_combination(ring, (
         (ring.mul(cx, cy), mq_compose_basis(kx, a, ky, ring))
-        for kx, cx in xs.terms.items() for ky, cy in ys.terms.items())))
+        for kx, cx in xs.terms.items() for ky, cy in ys.terms.items()))
 
 
 @lru_cache(maxsize=None)
@@ -378,8 +381,7 @@ def delta_element(ring=ZZ):
     Built once per ring: every caller gets the same FormalSum, which must
     not be mutated in place.
     """
-    col = from_quilt(Quilt(Word((1, 2), 2), Tree((0, 0, 1), ((), (2,), ()))))
-    one = FormalSum(ring, [(col, 1)])
+    one = FormalSum(ring, [(from_quilt(column_quilt()), 1)])
     return combine(mq_compose(one, 1, m_element(ring)),
                    mq_compose(one, 2, m_element(ring)), 1, -1)
 
@@ -417,24 +419,90 @@ def mq_permute(xs, sigma):
     return _reduce(xs.bind(image))
 
 
+def _insert_before_first(word, u, new):
+    i = word.letters.index(u)
+    return Word(word.letters[:i] + (new,) + word.letters[i:], word.n + 1)
+
+
+def _insert_after_last(word, u, new):
+    i = max(word.occurrences(u))
+    return Word(word.letters[:i + 1] + (new,) + word.letters[i + 1:], word.n + 1)
+
+
+def modification(q, kind, u, pair=None):
+    """Insert vertex n+1 into a quilt by one of the modifications that
+    make up ad_Delta.
+
+    kind 3: n+1 takes u's place, over u's first child v and u, in order (v, u);
+    kind 4: like 3 with the last child w, but n+1 has children (u, w);
+    kind 5: n+1 replaces the consecutive children pair (v, w) of u.
+    """
+    new = q.n + 1
+    tree, word = q.tree, q.word
+    parent = list(tree.parent) + [0]
+    children = [list(c) for c in tree.children] + [[]]
+    if kind in (3, 4):
+        v = tree.children[u][0] if kind == 3 else tree.children[u][-1]
+        p = tree.parent[u]
+        if p:
+            children[p][children[p].index(u)] = new
+        parent[new] = p
+        children[u].remove(v)
+        parent[u] = new
+        parent[v] = new
+        children[new] = [v, u] if kind == 3 else [u, v]
+        w2 = _insert_before_first(word, u, new)
+    elif kind == 5:
+        v, w = pair
+        i = tree.children[u].index(v)
+        assert tree.children[u][i + 1] == w
+        children[u][i:i + 2] = [new]
+        parent[new] = u
+        parent[v] = new
+        parent[w] = new
+        children[new] = [v, w]
+        w2 = _insert_after_last(word, u, new)
+    else:
+        raise ValueError("unknown modification kind %r" % kind)
+    t2 = Tree(tuple(parent), tuple(tuple(c) for c in children))
+    return Quilt(w2, t2)
+
+
 def ad_delta(xs):
-    """ad_Delta x = Delta o_1 x - (-1)^{deg x} sum_a x o_a Delta."""
+    """ad_Delta x = Delta o_1 x - (-1)^{deg x} sum_a x o_a Delta, by the
+    modification formula, without composing anything with Delta.
+
+    For a plain quilt q with N labels, ad_Delta q is -(-1)^{deg q}
+    (Q3_u + Q4_u) over the vertices u with children, plus (-1)^{deg q}
+    Q5_{u,v,w} over the consecutive children v, w of u, each with the new
+    vertex N+1 marked.  A marked basis element x is its quilt q composed
+    with m at the marked slots.  ad_Delta = [Delta, -] is a derivation and
+    Delta o_1 m = 0, so ad_Delta(q o m) = ad_Delta(q) o m; composing with
+    m at a slot only marks that label, with sign +1, because the quilt of
+    m has degree 0 in mq_compose_basis.  So x contributes the
+    modifications of its quilt, signed by the degree of that quilt, with
+    the marks of x and N+1.
+    """
     ring = xs.ring
-    delta = delta_element(ring)
 
     def terms():
         for x, c in xs.terms.items():
-            one = FormalSum(ring, [(x, c)])
-            yield 1, mq_compose(delta, 1, one)
-            sgn = 1 if x.degree % 2 else -1
-            for a in range(1, x.arity + 1):
-                yield sgn, mq_compose(one, a, delta)
+            q = x.quilt
+            sgn = -1 if q.degree % 2 else 1
+            kids = q.tree.children
+            marks = x.marked() | {q.n + 1}
+            mods = [(-sgn, modification(q, kind, u))
+                    for u in range(1, q.n + 1) if kids[u] for kind in (3, 4)]
+            mods += [(sgn, modification(q, 5, u, pair))
+                     for u in range(1, q.n + 1) for pair in zip(kids[u], kids[u][1:])]
+            for s, mod in mods:
+                yield ring.mul(c, ring.coerce(s)), prenormalize(mod, marks, ring)
 
     return _reduce(linear_combination(ring, terms()))
 
 
 def boundary_prime(xs):
-    return _reduce(combine(mq_boundary(xs), ad_delta(xs)))
+    return combine(mq_boundary(xs), ad_delta(xs))
 
 
 def to_quilt_sum(xs):
@@ -526,89 +594,3 @@ def verify_identity(name, ring=ZZ):
         homotopy = combine(g("C3"), mq_permute(g("D3"), c123), 1, -1)
         return combine(lhs, boundary_prime(homotopy), 1, -1)
     raise ValueError("unknown identity %r" % name)
-
-
-# ------------------------------------------------- modification formula
-
-def _insert_before_first(word, u, new):
-    i = word.letters.index(u)
-    return Word(word.letters[:i] + (new,) + word.letters[i:], word.n + 1)
-
-
-def _insert_after_last(word, u, new):
-    i = max(word.occurrences(u))
-    return Word(word.letters[:i + 1] + (new,) + word.letters[i + 1:], word.n + 1)
-
-
-def _grow(tree):
-    parent = list(tree.parent) + [0]
-    children = [list(c) for c in tree.children] + [[]]
-    return parent, children
-
-
-def modification(q, kind, u, pair=None):
-    """The five ways of inserting vertex n+1 into a quilt.
-
-    kind 1: n+1 becomes the parent of u (word: before the first u);
-    kind 2: n+1 becomes a child of u at a given corner (after the last u);
-    kind 3: n+1 takes u's place, over u's first child v and u, in order (v, u);
-    kind 4: like 3 with the last child w, but n+1 has children (u, w);
-    kind 5: n+1 replaces the consecutive children pair (v, w) of u.
-    """
-    n = q.n
-    new = n + 1
-    tree, word = q.tree, q.word
-    parent, children = _grow(tree)
-    if kind == 1:
-        p = tree.parent[u]
-        if p:
-            children[p][children[p].index(u)] = new
-        parent[new] = p
-        parent[u] = new
-        children[new] = [u]
-        w2 = _insert_before_first(word, u, new)
-    elif kind == 2:
-        slot = pair  # insertion index among u's children
-        children[u].insert(slot, new)
-        parent[new] = u
-        w2 = _insert_after_last(word, u, new)
-    elif kind in (3, 4):
-        v = tree.children[u][0] if kind == 3 else tree.children[u][-1]
-        p = tree.parent[u]
-        if p:
-            children[p][children[p].index(u)] = new
-        parent[new] = p
-        children[u].remove(v)
-        parent[u] = new
-        parent[v] = new
-        children[new] = [v, u] if kind == 3 else [u, v]
-        w2 = _insert_before_first(word, u, new)
-    elif kind == 5:
-        v, w = pair
-        i = tree.children[u].index(v)
-        assert tree.children[u][i + 1] == w
-        children[u][i:i + 2] = [new]
-        parent[new] = u
-        parent[v] = new
-        parent[w] = new
-        children[new] = [v, w]
-        w2 = _insert_after_last(word, u, new)
-    else:
-        raise ValueError("unknown modification kind %r" % kind)
-    t2 = Tree(tuple(parent), tuple(tuple(c) for c in children))
-    return Quilt(w2, t2)
-
-
-def ad_delta_via_modifications(q, ring=ZZ):
-    """ad_Delta of a plain quilt through the modification formula:
-    -(-1)^{deg} (Q3_u + Q4_u) o m over vertices u with children, plus
-    (-1)^{deg} Q5_{u,v,w} o m over consecutive children pairs."""
-    n = q.n
-    sgn = -1 if q.degree % 2 else 1
-    kids = q.tree.children
-    mods = [(-sgn, modification(q, kind, u))
-            for u in range(1, n + 1) if kids[u] for kind in (3, 4)]
-    mods += [(sgn, modification(q, 5, u, pair))
-             for u in range(1, n + 1) for pair in zip(kids[u], kids[u][1:])]
-    return _reduce(linear_combination(ring, ((c, prenormalize(m, [n + 1], ring))
-                                             for c, m in mods)))

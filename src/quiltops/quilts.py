@@ -210,3 +210,8 @@ def enumerate_quilts(n, degree=None):
 
 def identity_quilt():
     return Quilt(Word((1,), 1), Tree((0, 0), ((), ())))
+
+
+def column_quilt():
+    """12;1(2), the arity-2 quilt that builds Delta and delta_H."""
+    return Quilt(Word((1, 2), 2), Tree((0, 0, 1), ((), (2,), ())))

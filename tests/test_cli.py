@@ -85,6 +85,16 @@ def test_verify_linfty_coinvariant(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--max-arity", "1"], "leaves nothing to check"),
+    (["--max-arity", "5", "--target", "mquilt"], "needs --deep"),
+], ids=["no-relation", "mquilt-arity5-without-deep"])
+def test_verify_linfty_refuses_empty_or_partial_suite(capsys, argv, message):
+    code, out, err = run(["verify", "linfty"] + argv, capsys)
+    assert code == 2
+    assert out == "" and message in err and len(err.splitlines()) == 1
+
+
 def test_render_text_and_svg(capsys):
     code, out, _ = run(["render", "--quilt", "1232;1(3,2)"], capsys)
     assert code == 0

@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from quiltops.formal import FormalSum
 from quiltops.rings import ZZ
 from quiltops.linfty import (maximal_quilts, sgn_K, L0, L0_m, L1, L_full, P0,
@@ -176,16 +174,6 @@ def test_coinvariant_reduce():
     assert list(r.terms.values()) == [2]
 
 
-@pytest.mark.deep
-def test_residual_quilt_arity5():
-    assert linfty_residual_quilt(5).is_zero()
-
-
 def test_residual_mquilt_arity4():
     assert linfty_residual_mquilt(4).is_zero()
     assert linfty_residual_integer_route(4).is_zero()
-
-
-@pytest.mark.deep
-def test_residual_mquilt_arity5():
-    assert linfty_residual_mquilt(5).is_zero()

@@ -2,18 +2,21 @@ import random
 
 import pytest
 
-from quiltops.formal import FormalSum, combine
+from quiltops.formal import FormalSum, combine, linear_combination
 from quiltops.rings import ZZ, GF2
 from quiltops.quilts import (parse_quilt, enumerate_quilts, Quilt, check_axioms,
-                             QuiltAxiomViolated)
+                             QuiltAxiomViolated, column_quilt)
 from quiltops.words import Word
 from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
-                             mq_compose,
+                             mq_compose, mq_boundary,
                              boundary_prime, mq_permute, ad_delta,
-                             ad_delta_via_modifications,
                              normalize, to_quilt_sum,
                              gerstenhaber_element, verify_identity,
-                             IDENTITY_NAMES, modification, _class_words)
+                             IDENTITY_NAMES, modification, _class_words,
+                             _reduce)
+from quiltops.linfty import L0_m, L_full, P_full
+
+GERSTENHABER_NAMES = ("M2", "P2", "L2", "P3'", "L3", "C3", "D3")
 
 
 def elem(text, marks, coeff=1, ring=ZZ):
@@ -25,6 +28,9 @@ def test_delta_element():
     assert len(d) == 2
     assert {k.degree for k in d.keys()} == {-1}
     assert mq_compose(d, 1, d).is_zero()
+    # delta_H acts by the column quilt minus its relabel
+    col = column_quilt()
+    assert (str(col), str(col.permute({1: 2, 2: 1}))) == ("12;1(2)", "21;2(1)")
 
 
 def test_relation_kills():
@@ -177,12 +183,57 @@ def test_quotient_map_to_quilt():
         assert lhs == rhs, q
 
 
-def test_ad_delta_via_modifications():
-    for n in (1, 2, 3):
+def _ad_delta_by_composition(xs):
+    """Oracle for ad_delta: Delta o_1 x - (-1)^{deg x} sum_a x o_a Delta,
+    composing with Delta in every slot."""
+    ring = xs.ring
+    delta = delta_element(ring)
+
+    def terms():
+        for x, c in xs.terms.items():
+            one = FormalSum(ring, [(x, c)])
+            yield 1, mq_compose(delta, 1, one)
+            sgn = 1 if x.degree % 2 else -1
+            for a in range(1, x.arity + 1):
+                yield sgn, mq_compose(one, a, delta)
+
+    return linear_combination(ring, terms())
+
+
+def _normal_form_keys(arities, mark_counts):
+    """The distinct keys of the normal forms of the quilts of the given
+    arities with their top k labels marked, for k in mark_counts."""
+    keys = {}
+    for n in arities:
         for q in enumerate_quilts(n):
-            direct = ad_delta(FormalSum(ZZ, [(from_quilt(q), 1)]))
-            via = ad_delta_via_modifications(q)
-            assert direct == via, q
+            for k in mark_counts:
+                if k <= n:
+                    for key in normalize(q, set(range(n - k + 1, n + 1))).terms:
+                        keys.setdefault(key)
+    return list(keys)
+
+
+def test_ad_delta_matches_composition():
+    small = _normal_form_keys((1, 2, 3), (0, 1, 2, 3))
+    marked4 = _normal_form_keys((4,), (1, 2, 3))
+    assert (len(small), len(marked4)) == (51, 347)
+    sums = [FormalSum(ZZ, [(key, 1)]) for key in small + marked4]
+    sums.append(L0_m(4))
+    sums += [gerstenhaber_element(name) for name in GERSTENHABER_NAMES]
+    for s in sums:
+        assert ad_delta(s) == _ad_delta_by_composition(s), s
+
+
+def test_outputs_are_reduced():
+    # every sum the module returns is in normal form, so it is reduced once
+    P2, D3, L3 = (gerstenhaber_element(name) for name in ("P2", "D3", "L3"))
+    outputs = [mq_compose(P2, 1, D3), mq_compose(L_full(3), 2, P2),
+               mq_permute(D3, {1: 3, 3: 1}), mq_permute(P_full(3), {1: 2, 2: 1}),
+               mq_boundary(L3), mq_boundary(P_full(4)),
+               ad_delta(D3), ad_delta(L_full(4)),
+               boundary_prime(L3), boundary_prime(P_full(4))]
+    for s in outputs:
+        assert not s.is_zero() and _reduce(s) == s, s
 
 
 def test_ad_delta_column_reproduces_cup_terms():
@@ -199,12 +250,8 @@ def test_ad_delta_column_reproduces_cup_terms():
 
 def test_modifications_shapes():
     q = parse_quilt("1232;1(3,2)")
-    m1 = modification(q, 1, 3)
-    assert str(m1.tree) == "1(4(3),2)"
-    m2 = modification(q, 2, 2, 0)
-    assert m2.word.letters[-1] == 4 or 4 in m2.word.letters
-    m3 = modification(q, 3, 1)
-    m4 = modification(q, 4, 1)
+    assert str(modification(q, 3, 1)) == "41232;4(3,1(2))"
+    assert str(modification(q, 4, 1)) == "41232;4(1(3),2)"
     m5 = modification(q, 5, 1, (3, 2))
     assert str(m5.tree) == "1(4(3,2))"
 
