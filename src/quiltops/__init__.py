@@ -19,7 +19,7 @@ from .trees import Tree, enumerate_trees, parse_tree
 from .words import Word, enumerate_words, parse_word, word_statistics
 from .quilts import (Quilt, QuiltAxiomViolated, validate_quilt, parse_quilt,
                      enumerate_quilts, identity_quilt)
-from .extensions import (face, face_sign, boundary, boundary_sum,
+from .extensions import (face, face_signs, boundary, boundary_sum,
                          tree_extensions, word_extensions, extension_sign,
                          compose, compose_sums)
 from .homology import build_complex, homology_ranks, project_to_brace

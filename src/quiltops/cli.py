@@ -4,8 +4,8 @@ Every verification suite is a thin driver over module operations; the
 exit code is 0 exactly when all checks pass, so CI can gate on the
 identities.  Arity-6 homology and the arity-5 marked L-infinity relation
 sit behind --deep: without it such a request exits 2 before any check
-runs, as does a --max-arity that leaves nothing to check, so a PASS never
-hides a skipped or empty suite.
+runs, as does a --max-arity that leaves nothing to check or a homology
+--arity below 1, so a PASS never hides a skipped or empty suite.
 """
 
 import argparse
@@ -110,6 +110,9 @@ def _cmd_compose(args):
 def _cmd_homology(args):
     from .homology import build_complex, homology_ranks, torsion_report
     n = args.arity
+    if n < 1:
+        print("--arity %d has no quilts: arities start at 1" % n, file=sys.stderr)
+        return 2
     if n >= 6 and not args.deep:
         print("arity %d needs --deep (time and memory not measured)" % n,
               file=sys.stderr)

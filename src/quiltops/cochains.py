@@ -65,9 +65,6 @@ class Cochain:
     def is_zero(self):
         return not self.data
 
-    def is_homogeneous(self):
-        return len(self.data) <= 1
-
     def component(self, p, q):
         out = Cochain(self.diagram)
         if (p, q) in self.data:

@@ -38,27 +38,31 @@ def face(x, i):
     return Word(letters[:i] + letters[i + 1:], x.n)
 
 
-def face_sign(word, i):
-    """Sign of the face at occurrence i.
+def face_signs(letters):
+    """(i, sign) for every occurrence i of a repeated vertex, left to right.
 
-    Caesurae are numbered 1, 2, ... left to right; the k'th caesura has
-    sign (-1)^k.  A last occurrence whose previous occurrence is the k'th
-    caesura is numbered k+1.
+    Caesurae (non-final occurrences) are numbered 1, 2, ... left to right;
+    the k'th caesura has sign (-1)^k.  A last occurrence whose previous
+    occurrence is the k'th caesura is numbered k+1.
     """
-    letters = word.letters
-    a = letters[i]
-    if word.is_caesura(i):
-        return -1 if word.caesura_number(i) % 2 else 1
-    prev = max(j for j in word.occurrences(a) if j < i)
-    k = word.caesura_number(prev)
-    return -1 if (k + 1) % 2 else 1
+    last = {x: i for i, x in enumerate(letters)}
+    number = {}     # vertex -> number of its latest caesura
+    k = 0
+    out = []
+    for i, x in enumerate(letters):
+        if last[x] != i:
+            k += 1
+            number[x] = k
+            out.append((i, -1 if k % 2 else 1))
+        elif x in number:
+            out.append((i, 1 if number[x] % 2 else -1))
+    return out
 
 
 def boundary(x):
     """Signed sum of faces; lowers degree by one."""
     word = x.word if isinstance(x, Quilt) else x
-    faces = ((face(x, i), i) for i in range(len(word.letters)))
-    return FormalSum(ZZ, [(f, face_sign(word, i)) for f, i in faces if f is not None])
+    return FormalSum(ZZ, [(face(x, i), s) for i, s in face_signs(word.letters)])
 
 
 # ----------------------------------------------------------- extensions

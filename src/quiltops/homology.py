@@ -43,7 +43,8 @@ class ChainComplex:
 
 def build_complex(n, progress=None):
     """Assemble the arity-n quilt complex with exact integer matrices."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("arity must be at least 1, got %d" % n)
     bases = {}
     for q in enumerate_quilts(n):
         bases.setdefault(q.degree, []).append(q)

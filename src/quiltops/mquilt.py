@@ -40,7 +40,7 @@ from .rings import ZZ
 from .trees import Tree, parity_sign
 from .words import Word
 from .quilts import Quilt, check_axioms, column_quilt, identity_quilt
-from .extensions import check_slot, compose, face, face_sign
+from .extensions import check_slot, compose, face, face_signs
 
 
 class MQuilt:
@@ -392,13 +392,10 @@ def mq_boundary(xs):
 
     def terms():
         for x, c in xs.terms.items():
-            word = x.quilt.word
             marks = x.marked()
-            for i in range(len(word.letters)):
-                f = face(x.quilt, i)
-                if f is not None:
-                    yield (ring.mul(c, ring.coerce(face_sign(word, i))),
-                           prenormalize(f, marks, ring))
+            for i, s in face_signs(x.quilt.word.letters):
+                yield (ring.mul(c, ring.coerce(s)),
+                       prenormalize(face(x.quilt, i), marks, ring))
 
     return _reduce(linear_combination(ring, terms()))
 

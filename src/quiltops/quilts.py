@@ -7,6 +7,11 @@ The two axioms:
       the left of u in the tree.
 
 The degree of a quilt is the degree of its word.
+
+Every Quilt validates itself when built, after its Word and Tree have,
+each in linear time: check_axioms makes one pass over the word and one
+over the edges for axiom (1), and for axiom (2) walks the letters between
+the first and last occurrence of each vertex (at most n times the length).
 """
 
 from functools import lru_cache
@@ -52,7 +57,7 @@ class Quilt:
         return isinstance(other, Quilt) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.word._key, self.tree._hash))
 
     def permute(self, sigma):
         return Quilt(self.word.permute(sigma), self.tree.permute(sigma))
@@ -64,25 +69,37 @@ class Quilt:
 
 
 def check_axioms(word, tree):
-    """Raise QuiltAxiomViolated with a witness if (word, tree) is no quilt."""
-    letters = word.letters
-    pre, end = tree._pre, tree._end
-    first, last = {}, {}
+    """Raise QuiltAxiomViolated with a witness if (word, tree) is no quilt.
+
+    Axiom (2) walks the letters between the first and last u, for each u,
+    and names the smallest v there not left of u.  Axiom (1) holds iff
+    every vertex first occurs after the last occurrence of its parent:
+    along a chain v > ... > u the occurrences then come in that order.
+    Only when an edge fails does the pair loop run, to name the witness.
+    """
+    letters, n = word.letters, word.n
+    pre, end, parent = tree._pre, tree._end, tree.parent
+    first, last = [-1] * (n + 1), [0] * (n + 1)
     for i, x in enumerate(letters):
-        first.setdefault(x, i)
+        if first[x] < 0:
+            first[x] = i
         last[x] = i
-    for u in range(1, word.n + 1):
-        if first[u] != last[u]:
-            for v in set(letters[first[u] + 1:last[u]]):
-                if v != u and not end[v] < pre[u]:
-                    raise QuiltAxiomViolated(
-                        2, u, v, "quilt axiom (2) fails: %d is not left of %d"
-                        % (v, u))
-    for u in range(1, word.n + 1):
-        for v in range(1, word.n + 1):
-            # axiom (1): some u before some v means u is not strictly below v
-            if first[u] < last[v] and pre[v] < pre[u] <= end[v]:
-                raise QuiltAxiomViolated(1, u, v)
+    for u in range(1, n + 1):
+        for i in range(first[u] + 1, last[u]):
+            v = letters[i]
+            if v != u and not end[v] < pre[u]:
+                v = min(x for x in letters[i:last[u]]
+                        if x != u and not end[x] < pre[u])
+                raise QuiltAxiomViolated(
+                    2, u, v, "quilt axiom (2) fails: %d is not left of %d"
+                    % (v, u))
+    for c in range(1, n + 1):
+        if parent[c] and last[parent[c]] > first[c]:
+            for u in range(1, n + 1):
+                for v in range(1, n + 1):
+                    # some u before some v means u is not strictly below v
+                    if first[u] < last[v] and pre[v] < pre[u] <= end[v]:
+                        raise QuiltAxiomViolated(1, u, v)
 
 
 def validate_quilt(word, tree):
@@ -126,14 +143,7 @@ def compatible_trees(word):
         last[x] = i
     order = word.down_order()
     # axiom (2) obligations: w must end up strictly left of u
-    left_pairs = []
-    for u in order:
-        for w in word.between(u):
-            left_pairs.append((w, u))
-    obligations = {}
-    for w, u in left_pairs:
-        obligations.setdefault(w, []).append(u)
-        obligations.setdefault(u, []).append(w)
+    left_pairs = [(w, u) for u in order for w in word.between(u)]
 
     parent = {order[0]: 0}
     children = {order[0]: []}
@@ -158,11 +168,8 @@ def compatible_trees(word):
         return cs.index(au[i]) < cs.index(av[i])
 
     def ok(u):
-        for w, v in left_pairs:
-            if u in (w, v) and w in parent and v in parent:
-                if not left_of(w, v):
-                    return False
-        return True
+        return all(left_of(w, v) for w, v in left_pairs
+                   if u in (w, v) and w in parent and v in parent)
 
     def place(k):
         if k == n:

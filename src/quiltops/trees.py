@@ -25,7 +25,8 @@ class TreeInvalid(ValueError):
 
 
 class Tree:
-    __slots__ = ("n", "parent", "children", "_root", "_key", "_depth", "_pre", "_end")
+    __slots__ = ("n", "parent", "children", "_root", "_key", "_depth", "_pre", "_end",
+                 "_hash")
 
     def __init__(self, parent, children):
         """parent: tuple of length n+1 (index 0 unused, root has parent 0);
@@ -74,6 +75,7 @@ class Tree:
         self._pre = tuple(pre)
         self._end = tuple(end)
         self._key = (n, parent, children)
+        self._hash = hash(self._key)
 
     @classmethod
     def from_parent(cls, parent_map, child_order=None, n=None):
@@ -111,7 +113,7 @@ class Tree:
         return isinstance(other, Tree) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def edges(self):
         return [(self.parent[v], v) for v in range(1, self.n + 1) if self.parent[v]]
@@ -254,17 +256,13 @@ def parse_tree(text):
 
 @lru_cache(maxsize=None)
 def _forests(vertices):
-    """All ordered forests (tuples of Trees as (root, subtree-map) data) on a
-    frozenset of labels; returns tuples of (parent, children) dicts."""
+    """All ordered forests on a frozenset of labels, as tuples of nested
+    (root, (subtree, ...)) trees; the first tree takes any nonempty subset."""
     vertices = frozenset(vertices)
     if not vertices:
         return ((),)
     out = []
     vs = sorted(vertices)
-    rest = vertices
-    # first tree takes any subset containing the smallest label? no: ordered
-    # forests distinguish which tree comes first, so take every nonempty
-    # subset for the first component.
     for k in range(1, len(vs) + 1):
         for sub in itertools.combinations(vs, k):
             first = frozenset(sub)
@@ -297,7 +295,8 @@ def _materialize(node, parent, order, par_label):
 def enumerate_trees(n):
     """All planar rooted trees with vertex set {1..n}, canonically ordered.
     There are n! * Catalan(n-1) of them."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("arity must be at least 1, got %d" % n)
     trees = []
     for shape in _trees_on(frozenset(range(1, n + 1))):
         parent, order = {}, {}

@@ -4,6 +4,10 @@ These span the arity-n part of the Gerstenhaber-Voronov operad.  The
 degree of a word is length - n; caesurae (non-final occurrences) pair
 off with interposed vertices, giving |W| = 2n - s - 1 where s counts
 last-first pairs.
+
+Every Word validates itself when built, in time linear in its length:
+surjectivity onto 1..n (one set), no consecutive repeat (one pass) and
+no interlacing (one pass with a stack, _check_interlacing).
 """
 
 
@@ -18,8 +22,7 @@ class Word:
         letters = tuple(letters)
         if n is None:
             n = max(letters) if letters else 0
-        seen = set(letters)
-        if seen != set(range(1, n + 1)):
+        if set(letters) != set(range(1, n + 1)):
             raise WordInvalid("word %r is not surjective onto 1..%d" % (letters, n))
         for i in range(len(letters) - 1):
             if letters[i] == letters[i + 1]:
@@ -54,17 +57,10 @@ class Word:
     def count(self, a):
         return self.letters.count(a)
 
-    def is_caesura(self, i):
-        """Occurrence i has a later occurrence of the same vertex."""
-        return self.letters[i] in self.letters[i + 1:]
-
     def caesura_positions(self):
-        return [i for i in range(len(self.letters)) if self.is_caesura(i)]
-
-    def caesura_number(self, i):
-        """1-based position of caesura i in the left-to-right numbering."""
-        assert self.is_caesura(i)
-        return sum(1 for j in self.caesura_positions() if j <= i)
+        """Occurrences with a later occurrence of the same vertex."""
+        ls = self.letters
+        return [i for i, x in enumerate(ls) if x in ls[i + 1:]]
 
     def interposed(self):
         """The interposed vertices, in down-order.
@@ -75,9 +71,6 @@ class Word:
         """
         inter = {self.letters[i + 1] for i in self.caesura_positions()}
         return [v for v in self.down_order() if v in inter]
-
-    def is_interposed(self, v):
-        return any(self.letters[i + 1] == v for i in self.caesura_positions())
 
     def between(self, u):
         """Vertices occurring strictly between two occurrences of u; this
@@ -123,16 +116,24 @@ class Word:
 
 def _check_interlacing(letters):
     """Reject u...v...u...v.  Once we return to u, every vertex strictly
-    between the two u's is closed and may not occur again."""
-    closed = set()
-    last_pos = {}
+    between the two u's is closed and may not occur again.
+
+    The open vertices sit on a stack ordered by last occurrence, so the
+    vertices seen since the previous u are exactly those above u: a
+    return to u pops and closes them.  Each vertex is pushed and popped
+    at most once, so the check is linear in the length.
+    """
+    stack, is_open = [], {}
     for i, x in enumerate(letters):
-        if x in closed:
+        state = is_open.get(x)
+        if state:
+            while stack[-1] != x:
+                is_open[stack.pop()] = False
+        elif state is None:
+            stack.append(x)
+            is_open[x] = True
+        else:
             raise WordInvalid("interlacing at position %d in %r" % (i, letters))
-        if x in last_pos:
-            for y in set(letters[last_pos[x] + 1:i]):
-                closed.add(y)
-        last_pos[x] = i
 
 
 def parse_word(text):
@@ -173,36 +174,27 @@ def enumerate_words(n, degree=None):
     repeats the previous letter or has been closed by a return to an
     earlier letter (which is exactly the no-interlacing condition).
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError("arity must be at least 1, got %d" % n)
     max_len = 2 * n - 1 if degree is None else n + degree
     out = []
 
-    def grow(letters, closed, last_pos):
-        if len(letters) >= n and len(set(letters)) == n:
+    def grow(letters, stack, closed):
+        # stack and closed as in _check_interlacing; together the vertices seen
+        if len(stack) + len(closed) == n:
             if degree is None or len(letters) - n == degree:
-                out.append(Word(tuple(letters), n))
+                out.append(Word(letters, n))
         if len(letters) >= max_len:
             return
         for x in range(1, n + 1):
-            if letters and letters[-1] == x:
+            if x in closed or (letters and letters[-1] == x):
                 continue
-            if x in closed:
-                continue
-            newly = set()
-            if x in last_pos:
-                newly = set(letters[last_pos[x] + 1:]) - closed
-            old = last_pos.get(x)
-            letters.append(x)
-            closed |= newly
-            last_pos[x] = len(letters) - 1
-            grow(letters, closed, last_pos)
-            letters.pop()
-            closed -= newly
-            if old is None:
-                del last_pos[x]
+            if x in stack:
+                i = stack.index(x) + 1
+                grow(letters + (x,), stack[:i], closed | set(stack[i:]))
             else:
-                last_pos[x] = old
+                grow(letters + (x,), stack + (x,), closed)
 
-    grow([], set(), {})
+    grow((), (), frozenset())
     out.sort(key=Word.sort_key)
     return out

@@ -139,7 +139,7 @@ def test_criterion_5_acyclicity():
                                                  // max(n, 1))
             else:
                 assert h == 0
-    report("5 acyclicity n<=4 and H0 ranks", t0, 120)
+    report("5 acyclicity n<=4 and H0 ranks", t0, 10)
 
 
 def test_criterion_5_deep_acyclicity_arity5():
@@ -147,7 +147,7 @@ def test_criterion_5_deep_acyclicity_arity5():
     c = build_complex(5)
     rows = homology_ranks(c, QQ)
     assert [(k, h) for k, _, h in rows] == [(0, 1680), (1, 0), (2, 0), (3, 0)]
-    report("5d acyclicity n=5", t0, 60)
+    report("5d acyclicity n=5", t0, 20)
 
 
 def test_criterion_6_gerstenhaber_homotopies():
@@ -247,7 +247,7 @@ def test_criterion_8_representation_laws():
             out = act(FormalSum.single(Q, 1, ring), fs, dia)
             assert is_asimplicial(out) and is_normalized(out)
             done += 1
-    report("8 representation laws (Q and F2)", t0, 120)
+    report("8 representation laws (Q and F2)", t0, 10)
 
 
 def test_criterion_9_maurer_cartan():

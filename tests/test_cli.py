@@ -65,6 +65,13 @@ def test_homology(capsys):
     assert code == 2  # gated behind --deep
 
 
+@pytest.mark.parametrize("arity", ["0", "-3"])
+def test_homology_arity_below_1_exits_2(capsys, arity):
+    code, out, err = run(["homology", "--arity", arity], capsys)
+    assert code == 2
+    assert out == "" and "has no quilts" in err and len(err.splitlines()) == 1
+
+
 def test_verify_gerstenhaber(capsys):
     code, out, _ = run(["verify", "gerstenhaber"], capsys)
     assert code == 0

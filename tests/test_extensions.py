@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import quiltops
-from quiltops.extensions import (face, face_sign, boundary, boundary_sum,
+from quiltops.extensions import (face, face_signs, boundary, boundary_sum,
                                  tree_extensions, word_extensions,
                                  extension_sign, compose, compose_sums)
 from quiltops.formal import FormalSum, parse_formal
@@ -16,6 +16,20 @@ from quiltops.quilts import enumerate_quilts, parse_quilt, identity_quilt
 
 
 # ------------------------------------------------------------- oracles
+
+def _face_sign_oracle(word, i):
+    """Sign of the face at occurrence i, counting caesurae from scratch:
+    the k'th caesura has sign (-1)^k, and a last occurrence whose previous
+    occurrence is the k'th caesura has sign (-1)^(k+1)."""
+    letters = word.letters
+    caesurae = [j for j in range(len(letters)) if letters[j] in letters[j + 1:]]
+    if i in caesurae:
+        k = caesurae.index(i) + 1
+    else:
+        prev = max(j for j in range(i) if letters[j] == letters[i])
+        k = caesurae.index(prev) + 2
+    return -1 if k % 2 else 1
+
 
 def oracle_tree_extensions(outer, inner, a):
     """Exhaustive filter over all candidate trees, straight from the
@@ -180,11 +194,21 @@ def test_boundary_golden():
 
 def test_face_signs_along_words():
     w = parse_word("123242151")
-    signs = [face_sign(w, i) for i in range(len(w.letters)) if face(w, i)]
-    assert signs == [-1, 1, -1, 1, 1, -1]
+    assert [s for _, s in face_signs(w.letters)] == [-1, 1, -1, 1, 1, -1]
     w = parse_word("123432151")
-    signs = [face_sign(w, i) for i in range(len(w.letters)) if face(w, i)]
-    assert signs == [-1, 1, -1, 1, -1, 1, -1]
+    assert [s for _, s in face_signs(w.letters)] == [-1, 1, -1, 1, -1, 1, -1]
+
+
+def test_face_signs_match_oracle():
+    # same positions, same order, same signs as counting caesurae per face
+    counts = {}
+    for n in range(1, 6):
+        for w in enumerate_words(n):
+            expect = [(i, _face_sign_oracle(w, i)) for i in range(len(w.letters))
+                      if face(w, i) is not None]
+            assert face_signs(w.letters) == expect, str(w)
+            counts[n] = counts.get(n, 0) + 1
+    assert counts[4] == 528 and counts[5] == 10800
 
 
 def test_quilt_boundary_golden():

@@ -9,6 +9,35 @@ from quiltops.words import enumerate_words
 from quiltops.trees import enumerate_trees
 
 
+def _check_axioms_pair_oracle(word, tree):
+    """Both axioms by the definition: axiom (2) over the set of vertices
+    between the first and last u (ascending for labels this small), axiom
+    (1) over all ordered pairs."""
+    letters = word.letters
+    pre, end = tree._pre, tree._end
+    first, last = {}, {}
+    for i, x in enumerate(letters):
+        first.setdefault(x, i)
+        last[x] = i
+    for u in range(1, word.n + 1):
+        if first[u] != last[u]:
+            for v in set(letters[first[u] + 1:last[u]]):
+                if v != u and not end[v] < pre[u]:
+                    raise QuiltAxiomViolated(2, u, v)
+    for u in range(1, word.n + 1):
+        for v in range(1, word.n + 1):
+            if first[u] < last[v] and pre[v] < pre[u] <= end[v]:
+                raise QuiltAxiomViolated(1, u, v)
+
+
+def _verdict(check, word, tree):
+    try:
+        check(word, tree)
+    except QuiltAxiomViolated as e:
+        return e.axiom, e.witness
+    return None
+
+
 def test_validate_examples():
     q = validate_quilt("12", "1(2)")
     assert q.degree == 0
@@ -74,6 +103,20 @@ def test_constructive_matches_filter():
                 except QuiltAxiomViolated:
                     pass
             assert cons == sorted(filt, key=lambda t: t.sort_key()), str(w)
+
+
+def test_check_axioms_matches_pair_oracle():
+    # same verdict on every (word, tree) pair, and the same axiom and witness
+    failures = {1: 0, 2: 0}
+    for n in (1, 2, 3, 4):
+        trees = enumerate_trees(n)
+        for w in enumerate_words(n):
+            for t in trees:
+                got = _verdict(check_axioms, w, t)
+                assert got == _verdict(_check_axioms_pair_oracle, w, t), (w, t)
+                if got:
+                    failures[got[0]] += 1
+    assert failures[1] and failures[2]
 
 
 def test_axiom2_implies_no_interlacing():

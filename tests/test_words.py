@@ -1,9 +1,52 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiltops.words import (Word, WordInvalid, enumerate_words, parse_word,
-                            word_statistics)
+from quiltops.words import (Word, WordInvalid, _check_interlacing,
+                            enumerate_words, parse_word, word_statistics)
+
+
+def _closed_set_oracle(letters):
+    """The interlacing check with an explicit closed set: a return to x
+    closes every vertex strictly between it and the previous x."""
+    closed = set()
+    last_pos = {}
+    for i, x in enumerate(letters):
+        if x in closed:
+            raise WordInvalid("interlacing at position %d in %r" % (i, letters))
+        if x in last_pos:
+            for y in set(letters[last_pos[x] + 1:i]):
+                closed.add(y)
+        last_pos[x] = i
+
+
+def _outcome(check, letters):
+    """None if check accepts the letters, else the exception type and text."""
+    try:
+        check(letters)
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+def _word_oracle(letters):
+    n = max(letters) if letters else 0
+    if set(letters) != set(range(1, n + 1)):
+        raise WordInvalid("not surjective")
+    if any(a == b for a, b in zip(letters, letters[1:])):
+        raise WordInvalid("consecutive repetition")
+    _closed_set_oracle(letters)
+
+
+def _assert_interlacing_agrees(letters):
+    assert _outcome(_check_interlacing, letters) == \
+        _outcome(_closed_set_oracle, letters), letters
+    word = _outcome(Word, letters)
+    oracle = _outcome(_word_oracle, letters)
+    assert (word is None) == (oracle is None), letters
+    assert word is None or word[0] is oracle[0], letters
 
 
 def test_validation():
@@ -49,6 +92,25 @@ def test_word_length_formula_exhaustive():
             assert len(w) == 2 * n - s - 1
             assert len(w.caesura_positions()) == w.degree
             assert len(w.interposed()) == w.degree
+
+
+def test_interlacing_matches_oracle():
+    # every sequence over 1..4 of length <= 7; the accepted ones that are
+    # onto 1..n are exactly the words of arity n, which have length <= 2n-1
+    accepted = {n: set() for n in range(1, 5)}
+    for length in range(0, 8):
+        for letters in itertools.product(range(1, 5), repeat=length):
+            _assert_interlacing_agrees(letters)
+            if letters and _outcome(Word, letters) is None:
+                accepted[max(letters)].add(letters)
+    for n in range(1, 5):
+        assert accepted[n] == {w.letters for w in enumerate_words(n)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=11))
+def test_interlacing_matches_oracle_sampled(letters):
+    _assert_interlacing_agrees(tuple(letters))
 
 
 def test_enumeration():
