@@ -5,7 +5,10 @@ exit code is 0 exactly when all checks pass, so CI can gate on the
 identities.  Arity-6 homology and the arity-5 marked L-infinity relation
 sit behind --deep: without it such a request exits 2 before any check
 runs, as does a --max-arity that leaves nothing to check or a homology
---arity below 1, so a PASS never hides a skipped or empty suite.
+--arity below 1, so a PASS never hides a skipped or empty suite.  Bad
+input to a calculator (an operand that does not parse, an arity below 1,
+an unknown ring, marks outside the arity) also exits 2 with one line on
+stderr.
 """
 
 import argparse
@@ -61,9 +64,23 @@ class Report:
         return 0 if ok else 1
 
 
+def _fail(command, error):
+    print("%s: %s" % (command, error), file=sys.stderr)
+    return 2
+
+
+def _parse(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise ValueError("cannot parse %r: %s" % (text, e)) from None
+
+
 def _cmd_enumerate(args):
     kind = args.kind
     n = args.arity
+    if n < 1:
+        return _fail("enumerate", "--arity %d has no %ss: arities start at 1" % (n, kind))
     if kind == "tree":
         items = enumerate_trees(n)
     elif kind == "word":
@@ -77,21 +94,21 @@ def _cmd_enumerate(args):
 
 
 def _cmd_boundary(args):
-    if args.word:
-        x = parse_word(args.word)
-    else:
-        x = parse_quilt(args.quilt)
+    if (args.word is None) == (args.quilt is None):
+        return _fail("boundary", "give exactly one of --word and --quilt")
+    try:
+        x = (_parse(parse_word, args.word) if args.word is not None
+             else _parse(parse_quilt, args.quilt))
+    except ValueError as e:
+        return _fail("boundary", e)
     print(boundary(x))
     return 0
 
 
 def _cmd_compose(args):
     def parse_any(text):
-        parse = parse_quilt if ";" in text else parse_tree if "(" in text else parse_word
-        try:
-            return parse(text)
-        except ValueError as e:
-            raise ValueError("cannot parse %r: %s" % (text, e))
+        return _parse(parse_quilt if ";" in text else parse_tree if "(" in text
+                      else parse_word, text)
 
     try:
         x = parse_any(args.left)
@@ -101,8 +118,7 @@ def _cmd_compose(args):
                              % (type(x).__name__.lower(), type(y).__name__.lower()))
         check_slot(args.slot, x.n, x)
     except ValueError as e:
-        print("compose: %s" % e, file=sys.stderr)
-        return 2
+        return _fail("compose", e)
     print(compose(x, args.slot, y))
     return 0
 
@@ -111,13 +127,14 @@ def _cmd_homology(args):
     from .homology import build_complex, homology_ranks, torsion_report
     n = args.arity
     if n < 1:
-        print("--arity %d has no quilts: arities start at 1" % n, file=sys.stderr)
-        return 2
+        return _fail("homology", "--arity %d has no quilts: arities start at 1" % n)
     if n >= 6 and not args.deep:
-        print("arity %d needs --deep (time and memory not measured)" % n,
-              file=sys.stderr)
-        return 2
-    ring = parse_ring(args.ring)
+        return _fail("homology", "arity %d needs --deep (time and memory not "
+                     "measured)" % n)
+    try:
+        ring = parse_ring(args.ring)
+    except ValueError as e:
+        return _fail("homology", e)
     progress = (lambda s: print(s, file=sys.stderr)) if args.deep else None
     c = build_complex(n, progress=progress)
     rows = homology_ranks(c, ring, progress=progress)
@@ -174,7 +191,13 @@ def _verify_linfty(args):
 
 def _cmd_render(args):
     from .render import render_ascii, render_svg
-    q = parse_quilt(args.quilt)
+    try:
+        q = _parse(parse_quilt, args.quilt)
+    except ValueError as e:
+        return _fail("render", e)
+    if not 0 <= args.marks <= q.n:
+        return _fail("render", "--marks %d is outside 0..%d, the arity of %s"
+                     % (args.marks, q.n, q))
     if args.format == "svg":
         print(render_svg(q, args.marks))
     else:

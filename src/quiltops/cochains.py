@@ -9,9 +9,20 @@ is the parity of the shuffle between the block word of the inputs and
 the word assembled from the coloring, extrapolated mod 2 through the
 stated substitutions when a vertical degree is 0 on an interposed
 vertex or a horizontal degree is 0.
+
+Storage: `Cochain.data` is {(p, q): {nerve tuple: {(out, in_1..in_q):
+coefficient}}} with only nonzero coefficients, so no bidegree holds an
+empty tuple and no tuple an empty tensor.  A tuple (f_1..f_p) with
+objects x_0..x_p (the p = 0 tuple is (x,)) carries a q-linear map
+from A(x_p) to A(x_0): out is a basis index of A(x_0) and in_1..in_q
+are basis indices of A(x_p).  The matrix {(r, c): v} of a morphism is
+such a map with one input, so composing with it is the substitution
+`_tensor_splice` that also composes two cochain values.  Every sum
+accumulates through the FormalSum constructor; `Cochain._add` adds one
+entry in place.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .formal import FormalSum
 from .quilts import Quilt, column_quilt
@@ -33,16 +44,16 @@ DEFAULT_MAX_P = 4
 class Cochain:
     """Element of the total complex: components indexed by bidegree."""
 
-    def __init__(self, diagram, data=None):
+    def __init__(self, diagram, entries=()):
+        """The sum of the (pq, tup, idx, value) entries: equal keys add up
+        and cancelled ones are dropped."""
         self.diagram = diagram
         self.ring = diagram.ring
-        # data: {(p, q): {nerve_tuple: {(out, in_1..in_q): coeff}}}
         self.data = {}
-        if data:
-            for pq, comp in data.items():
-                for tup, tensor in comp.items():
-                    for idx, v in tensor.items():
-                        self._add(pq, tup, idx, v)
+        sums = FormalSum(self.ring, (((pq, tup, idx), v)
+                                     for pq, tup, idx, v in entries))
+        for (pq, tup, idx), v in sums.terms.items():
+            self.data.setdefault(pq, {}).setdefault(tup, {})[idx] = v
 
     def _add(self, pq, tup, idx, v):
         ring = self.ring
@@ -77,26 +88,20 @@ class Cochain:
     def tensor(self, pq, tup):
         return self.data.get(pq, {}).get(tup, {})
 
+    def entries(self):
+        return ((pq, tup, idx, v) for pq, comp in self.data.items()
+                for tup, T in comp.items() for idx, v in T.items())
+
     def __add__(self, other):
-        out = Cochain(self.diagram)
-        for src in (self, other):
-            for pq, comp in src.data.items():
-                for tup, T in comp.items():
-                    for idx, v in T.items():
-                        out._add(pq, tup, idx, v)
-        return out
+        return Cochain(self.diagram, chain(self.entries(), other.entries()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = Cochain(self.diagram)
-        c = self.ring.coerce(c)
-        for pq, comp in self.data.items():
-            for tup, T in comp.items():
-                for idx, v in T.items():
-                    out._add(pq, tup, idx, self.ring.mul(c, v))
-        return out
+        mul, c = self.ring.mul, self.ring.coerce(c)
+        return Cochain(self.diagram, ((pq, tup, idx, mul(c, v))
+                                      for pq, tup, idx, v in self.entries()))
 
     def __eq__(self, other):
         return isinstance(other, Cochain) and self.data == other.data
@@ -115,11 +120,9 @@ class Cochain:
 
 def m_hat(diagram):
     """Multiplication as a (0, 2) cochain."""
-    c = Cochain(diagram)
-    for x in diagram.category.objects:
-        for (i, j, k), v in diagram.mult[x].items():
-            c._add((0, 2), (x,), (k, i, j), v)
-    return c
+    return Cochain(diagram, [((0, 2), (x,), (k, i, j), v)
+                             for x in diagram.category.objects
+                             for (i, j, k), v in diagram.mult[x].items()])
 
 
 def shifted_total(pq):
@@ -296,61 +299,22 @@ def enumerate_colorings(quilt, pvec, qvec):
 
 # ------------------------------------------------------------ evaluation
 
-def _tensor_post(diagram, f, tensor):
-    """Postcompose the output with the matrix of f."""
-    if diagram.category.is_identity(f):
-        return tensor
-    ring = diagram.ring
-    mat = diagram.matrix(f)
-    out = {}
-    for idx, v in tensor.items():
-        o = idx[0]
-        for (r, c), w in mat.items():
-            if c == o:
-                key = (r,) + idx[1:]
-                u = ring.add(out.get(key, ring.zero), ring.mul(w, v))
-                if ring.is_zero(u):
-                    out.pop(key, None)
-                else:
-                    out[key] = u
-    return out
-
-
-def _tensor_pre(diagram, tensor, j, f):
-    """Precompose input slot j (1-based) with the matrix of f."""
-    if diagram.category.is_identity(f):
-        return tensor
-    ring = diagram.ring
-    mat = diagram.matrix(f)
-    out = {}
-    for idx, v in tensor.items():
-        a = idx[j]
-        for (r, c), w in mat.items():
-            if r == a:
-                key = idx[:j] + (c,) + idx[j + 1:]
-                u = ring.add(out.get(key, ring.zero), ring.mul(w, v))
-                if ring.is_zero(u):
-                    out.pop(key, None)
-                else:
-                    out[key] = u
-    return out
-
-
 def _tensor_splice(ring, T, j, S):
     """Substitute the multilinear map S into input slot j of T."""
-    out = {}
-    for idx, v in T.items():
-        a = idx[j]
-        for sidx, w in S.items():
-            if sidx[0] != a:
-                continue
-            key = idx[:j] + sidx[1:] + idx[j + 1:]
-            u = ring.add(out.get(key, ring.zero), ring.mul(v, w))
-            if ring.is_zero(u):
-                out.pop(key, None)
-            else:
-                out[key] = u
-    return out
+    mul = ring.mul
+    return FormalSum(ring, ((idx[:j] + sidx[1:] + idx[j + 1:], mul(v, w))
+                            for idx, v in T.items()
+                            for sidx, w in S.items() if sidx[0] == idx[j])).terms
+
+
+def _along(diagram, T, j, f):
+    """Precompose input slot j of T with the matrix of f, or postcompose
+    the output with it when j is 0."""
+    if diagram.category.is_identity(f):
+        return T
+    if j:
+        return _tensor_splice(diagram.ring, T, j, diagram.matrix(f))
+    return _tensor_splice(diagram.ring, diagram.matrix(f), 1, T)
 
 
 def evaluate_coloring(diagram, quilt, zetas, I, args_tensors, tup, pvec, qvec):
@@ -396,37 +360,43 @@ def evaluate_coloring(diagram, quilt, zetas, I, args_tensors, tup, pvec, qvec):
                 if child is None:
                     return None
                 zc = zetas[c - 1]
-                conn = path(zu[-1], zc[0])
-                child = _tensor_post(diagram, conn, child)
+                child = _along(diagram, child, 0, path(zu[-1], zc[0]))
                 g = _tensor_splice(ring, g, j, child)
             else:
-                g = _tensor_pre(diagram, g, j, path(zu[-1], len(xs) - 1))
+                g = _along(diagram, g, j, path(zu[-1], len(xs) - 1))
             if not g:
                 return None
         values[u] = g
     root = quilt.tree.root
-    out = _tensor_post(diagram, path(0, zetas[root - 1][0]), values[root])
-    return out
+    return _along(diagram, values[root], 0, path(0, zetas[root - 1][0]))
 
 
 def act(element, args, diagram, max_p=DEFAULT_MAX_P):
     """Action of a formal sum of quilts or marked quilts on cochains.
 
     Marked slots receive the multiplication cochain.  Non-homogeneous
-    arguments are expanded multilinearly over their components.
+    arguments are expanded multilinearly over their components.  Raises
+    ValueError when the arguments and the marks of a key do not fill its
+    inputs.
     """
-    ring = diagram.ring
-    result = Cochain(diagram)
-    mh = m_hat(diagram)
     if isinstance(element, (Quilt, MQuilt)):
-        element = FormalSum.single(element, 1, ring)
+        element = FormalSum.single(element, 1, diagram.ring)
+    return Cochain(diagram, _act_entries(element, args, diagram, max_p))
+
+
+def _act_entries(element, args, diagram, max_p):
+    ring = diagram.ring
+    mh = m_hat(diagram)
     for key, coeff in element.items():
         if isinstance(key, MQuilt):
             quilt, k = key.quilt, key.marks
         else:
             quilt, k = key, 0
+        if len(args) + k != quilt.n:
+            raise ValueError("%s has %d inputs and %d marks: it takes %d "
+                             "arguments, got %d" % (key, quilt.n, k, quilt.n - k,
+                                                    len(args)))
         full_args = list(args) + [mh] * k
-        assert len(full_args) == quilt.n
         # expand components multilinearly
         combos = [[]]
         for f in full_args:
@@ -463,8 +433,7 @@ def act(element, args, diagram, max_p=DEFAULT_MAX_P):
                     c = ring.mul(ring.coerce(coeff),
                                  ring.coerce(sign * mark_sign))
                     for idx, v in T.items():
-                        result._add((p_out, q_out), tup, idx, ring.mul(c, v))
-    return result
+                        yield (p_out, q_out), tup, idx, ring.mul(c, v)
 
 
 # ------------------------------------------------------------ coboundaries
@@ -474,31 +443,32 @@ def delta_S(f, max_p=DEFAULT_MAX_P):
     diagram = f.diagram
     cat = diagram.category
     ring = diagram.ring
-    out = Cochain(diagram)
-    for (p, q), comp in f.data.items():
-        if p + 1 > max_p:
-            raise NerveDepthExceeded(p + 1, max_p)
-        for tup in cat.nerve(p + 1):
-            xs = cat.tuple_objects(tup) if p + 1 else [tup[0]]
-            for i in range(p + 2):
-                # epsilon_i: [p] -> [p+1] skipping i
-                img = [j for j in range(p + 2) if j != i]
-                if p == 0:
-                    sub = (xs[img[0]],)
-                else:
-                    sub = tuple(cat.path(tup, img[t], img[t + 1])
-                                for t in range(p))
-                T = comp.get(sub)
-                if not T:
-                    continue
-                T2 = _tensor_post(diagram, cat.path(tup, 0, img[0]), T)
-                for j in range(q, 0, -1):
-                    T2 = _tensor_pre(diagram, T2, j,
-                                     cat.path(tup, img[-1], p + 1))
-                sign = -1 if i % 2 else 1
-                for idx, v in T2.items():
-                    out._add((p + 1, q), tup, idx, ring.mul(ring.coerce(sign), v))
-    return out
+
+    def faces():
+        for (p, q), comp in f.data.items():
+            if p + 1 > max_p:
+                raise NerveDepthExceeded(p + 1, max_p)
+            for tup in cat.nerve(p + 1):
+                xs = cat.tuple_objects(tup)
+                for i in range(p + 2):
+                    # epsilon_i: [p] -> [p+1] skipping i
+                    img = [j for j in range(p + 2) if j != i]
+                    if p == 0:
+                        sub = (xs[img[0]],)
+                    else:
+                        sub = tuple(cat.path(tup, img[t], img[t + 1])
+                                    for t in range(p))
+                    T = comp.get(sub)
+                    if not T:
+                        continue
+                    T = _along(diagram, T, 0, cat.path(tup, 0, img[0]))
+                    for j in range(q, 0, -1):
+                        T = _along(diagram, T, j, cat.path(tup, img[-1], p + 1))
+                    sign = ring.coerce(-1 if i % 2 else 1)
+                    for idx, v in T.items():
+                        yield (p + 1, q), tup, idx, ring.mul(sign, v)
+
+    return Cochain(diagram, faces())
 
 
 def delta_H(f, max_p=DEFAULT_MAX_P):
@@ -589,30 +559,15 @@ def deformed_diagram(f, validate=True):
     diagram = f.diagram
     ring = diagram.ring
     cat = diagram.category
-    mult = {x: dict(diagram.mult[x]) for x in cat.objects}
     comp02 = f.data.get((0, 2), {})
-    for x in cat.objects:
-        T = comp02.get((x,), {})
-        for (k, i, j), v in T.items():
-            w = ring.add(mult[x].get((i, j, k), ring.zero), v)
-            if ring.is_zero(w):
-                mult[x].pop((i, j, k), None)
-            else:
-                mult[x][(i, j, k)] = w
-    matrices = {}
+    mult = {x: FormalSum(ring, chain(diagram.mult[x].items(),
+                                     (((i, j, k), v) for (k, i, j), v
+                                      in comp02.get((x,), {}).items()))).terms
+            for x in cat.objects}
     comp11 = f.data.get((1, 1), {})
-    for m in cat.morphisms:
-        if cat.is_identity(m):
-            continue
-        mat = dict(diagram.matrix(m))
-        T = comp11.get((m,), {})
-        for (r, c), v in T.items():
-            w = ring.add(mat.get((r, c), ring.zero), v)
-            if ring.is_zero(w):
-                mat.pop((r, c), None)
-            else:
-                mat[(r, c)] = w
-        matrices[m] = mat
+    matrices = {m: FormalSum(ring, chain(diagram.matrix(m).items(),
+                                         comp11.get((m,), {}).items())).terms
+                for m in cat.morphisms if not cat.is_identity(m)}
     return DiagramOfAlgebras(cat, diagram.dims, mult, matrices, ring,
                              validate=validate)
 
@@ -621,22 +576,10 @@ def _unital_mul(diagram, x, u, v):
     """Multiply in the unitalization of A(x): pairs (scalar, vector)."""
     ring = diagram.ring
     (c1, v1), (c2, v2) = u, v
-    out = {}
-    for i, a in v1.items():
-        for j, b in v2.items():
-            for (p, q, k), w in diagram.mult[x].items():
-                if p == i and q == j:
-                    t = ring.add(out.get(k, ring.zero),
-                                 ring.mul(ring.mul(a, b), w))
-                    out[k] = t
-    for i, a in v1.items():
-        t = ring.add(out.get(i, ring.zero), ring.mul(a, c2))
-        out[i] = t
-    for j, b in v2.items():
-        t = ring.add(out.get(j, ring.zero), ring.mul(b, c1))
-        out[j] = t
-    out = {k: v for k, v in out.items() if not ring.is_zero(v)}
-    return (ring.mul(c1, c2), out)
+    out = FormalSum(ring, chain(diagram.multiply(x, v1, v2).items(),
+                                ((i, ring.mul(a, c2)) for i, a in v1.items()),
+                                ((j, ring.mul(b, c1)) for j, b in v2.items())))
+    return (ring.mul(c1, c2), out.terms)
 
 
 def skew_check(f, max_p=DEFAULT_MAX_P):
@@ -658,16 +601,9 @@ def skew_check(f, max_p=DEFAULT_MAX_P):
     mult_new = deformed_diagram(f02, validate=False)
 
     def Aprime(m, vec):
-        out = mult_new.apply_matrix(m, vec) if not cat.is_identity(m) else dict(vec)
-        T = g.get((m,), {})
-        for (r, c), v in T.items():
-            if c in vec:
-                w = ring.add(out.get(r, ring.zero), ring.mul(v, vec[c]))
-                if ring.is_zero(w):
-                    out.pop(r, None)
-                else:
-                    out[r] = w
-        return out
+        mat = chain(mult_new.matrix(m).items(), g.get((m,), {}).items())
+        return FormalSum(ring, ((r, ring.mul(v, vec[c]))
+                                for (r, c), v in mat if c in vec)).terms
 
     def hval(psi, phi):
         T = h.get((psi, phi), {})

@@ -11,6 +11,7 @@ for the non-identity composable pairs, structure constants as
 
 from fractions import Fraction
 
+from .formal import FormalSum
 from .rings import QQ, RingError, parse_ring
 
 
@@ -141,14 +142,10 @@ class DiagramOfAlgebras:
         self.category = category
         self.dims = dict(dims)
         self.ring = ring
-        self.mult = {x: {k: ring.coerce(v) for k, v in m.items() if not ring.is_zero(ring.coerce(v))}
-                     for x, m in mult.items()}
+        self.mult = {x: FormalSum(ring, m).terms for x, m in mult.items()}
         for x in category.objects:
             self.mult.setdefault(x, {})
-        self.matrices = {}
-        for f, m in matrices.items():
-            self.matrices[f] = {k: ring.coerce(v) for k, v in m.items()
-                                if not ring.is_zero(ring.coerce(v))}
+        self.matrices = {f: FormalSum(ring, m).terms for f, m in matrices.items()}
         for x in category.objects:
             ident = {}
             for i in range(self.dims[x]):
@@ -163,25 +160,18 @@ class DiagramOfAlgebras:
         except KeyError:
             raise DiagramError("missing matrix for %s" % f)
 
-    def multiply_basis(self, x, i, j):
-        """e_i * e_j in A(x) as {k: coeff}."""
-        out = {}
-        for (a, b, k), v in self.mult[x].items():
-            if a == i and b == j:
-                out[k] = v
-        return out
+    def multiply(self, x, u, v):
+        """The product u v in A(x) of vectors {index: coeff}."""
+        mul = self.ring.mul
+        return FormalSum(self.ring, ((k, mul(mul(u[i], v[j]), w))
+                                     for (i, j, k), w in self.mult[x].items()
+                                     if i in u and j in v)).terms
 
     def apply_matrix(self, f, vec):
-        ring = self.ring
-        out = {}
-        for (r, c), v in self.matrices[f].items():
-            if c in vec:
-                w = ring.add(out.get(r, ring.zero), ring.mul(v, vec[c]))
-                if ring.is_zero(w):
-                    out.pop(r, None)
-                else:
-                    out[r] = w
-        return out
+        mul = self.ring.mul
+        return FormalSum(self.ring, ((r, mul(v, vec[c]))
+                                     for (r, c), v in self.matrices[f].items()
+                                     if c in vec)).terms
 
     def validate(self):
         ring = self.ring
@@ -200,27 +190,13 @@ class DiagramOfAlgebras:
                     raise BadShape("matrix entry out of range on %s" % f)
         # associativity on basis triples
         for x in cat.objects:
-            d = self.dims[x]
-            for i in range(d):
-                for j in range(d):
-                    ij = self.multiply_basis(x, i, j)
-                    for k in range(d):
-                        jk = self.multiply_basis(x, j, k)
-                        left = {}
-                        for t, v in ij.items():
-                            for (a, b, c), w in self.mult[x].items():
-                                if a == t and b == k:
-                                    u = ring.add(left.get(c, ring.zero), ring.mul(v, w))
-                                    left[c] = u
-                        right = {}
-                        for t, v in jk.items():
-                            for (a, b, c), w in self.mult[x].items():
-                                if a == i and b == t:
-                                    u = ring.add(right.get(c, ring.zero), ring.mul(v, w))
-                                    right[c] = u
-                        left = {c: v for c, v in left.items() if not ring.is_zero(v)}
-                        right = {c: v for c, v in right.items() if not ring.is_zero(v)}
-                        if left != right:
+            e = [{i: ring.one} for i in range(self.dims[x])]
+            for i, ei in enumerate(e):
+                for j, ej in enumerate(e):
+                    ij = self.multiply(x, ei, ej)
+                    for k, ek in enumerate(e):
+                        if self.multiply(x, ij, ek) != \
+                                self.multiply(x, ei, self.multiply(x, ej, ek)):
                             raise NonAssociative("algebra at %s: (e%d e%d)e%d != e%d(e%d e%d)"
                                                  % (x, i, j, k, i, j, k))
         # functoriality
@@ -239,21 +215,12 @@ class DiagramOfAlgebras:
         # homomorphism property
         for f in cat.morphisms:
             x, y = cat.src(f), cat.tgt(f)
-            d = self.dims[x]
-            for i in range(d):
-                for j in range(d):
-                    lhs = self.apply_matrix(f, self.multiply_basis(x, i, j))
-                    fi = self.apply_matrix(f, {i: ring.one})
-                    fj = self.apply_matrix(f, {j: ring.one})
-                    rhs = {}
-                    for a, v in fi.items():
-                        for b, w in fj.items():
-                            for (p, q, k), u in self.mult[y].items():
-                                if p == a and q == b:
-                                    t = ring.add(rhs.get(k, ring.zero),
-                                                 ring.mul(ring.mul(v, w), u))
-                                    rhs[k] = t
-                    rhs = {k: v for k, v in rhs.items() if not ring.is_zero(v)}
+            e = [{i: ring.one} for i in range(self.dims[x])]
+            for ei in e:
+                for ej in e:
+                    lhs = self.apply_matrix(f, self.multiply(x, ei, ej))
+                    rhs = self.multiply(y, self.apply_matrix(f, ei),
+                                        self.apply_matrix(f, ej))
                     if lhs != rhs:
                         raise NotHomomorphism("A[%s] does not respect products"
                                               % f)

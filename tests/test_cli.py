@@ -72,6 +72,26 @@ def test_homology_arity_below_1_exits_2(capsys, arity):
     assert out == "" and "has no quilts" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "word", "--arity", "0"], "enumerate: --arity 0 has no words"),
+    (["enumerate", "quilt", "--arity", "0"], "enumerate: --arity 0 has no quilts"),
+    (["enumerate", "tree", "--arity", "-2"], "enumerate: --arity -2 has no trees"),
+    (["boundary"], "boundary: give exactly one of --word and --quilt"),
+    (["boundary", "--word", "1x2"], "boundary: cannot parse '1x2'"),
+    (["render", "--quilt", "12x"], "render: cannot parse '12x'"),
+    (["render", "--quilt", "12;1(2)", "--marks", "3"],
+     "render: --marks 3 is outside 0..2, the arity of 12;1(2)"),
+    (["homology", "--arity", "2", "--ring", "X"], "homology: unknown ring 'X'"),
+    (["homology", "--arity", "2", "--ring", "F4"], "homology: 4 is not prime"),
+], ids=["enumerate-word", "enumerate-quilt", "enumerate-tree", "boundary-nothing",
+        "boundary-bad-word", "render-bad-quilt", "render-marks", "homology-ring-X",
+        "homology-ring-F4"])
+def test_calculator_bad_input_exits_2(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
+
+
 def test_verify_gerstenhaber(capsys):
     code, out, _ = run(["verify", "gerstenhaber"], capsys)
     assert code == 0

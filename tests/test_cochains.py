@@ -1,19 +1,27 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiltops.rings import QQ
+import quiltops
+from quiltops.rings import QQ, GF, GF2
 from quiltops.formal import FormalSum
 from quiltops.quilts import enumerate_quilts, parse_quilt, identity_quilt
 from quiltops.extensions import boundary, compose
+from quiltops.diagrams import FiniteCategory, DiagramOfAlgebras
 from quiltops.cochains import (Cochain, m_hat, act, delta_S, delta_H,
                                delta_total, cup, bracket,
                                enumerate_colorings, coloring_sign,
                                is_asimplicial, is_normalized, subcomplex_check,
-                               NerveDepthExceeded, shifted_total)
+                               NerveDepthExceeded, shifted_total,
+                               _along, _tensor_splice)
 
-from conftest import random_cochain, one_object_diagram
+from conftest import random_cochain, one_object_diagram, upper_triangular_to_diagonal
 
 
 # ------------------------------------------------------------- colorings
@@ -362,3 +370,173 @@ def test_nerve_depth_guard(cat2_Q):
     g = random_cochain(cat2_Q, 2, 1, seed=62)
     with pytest.raises(NerveDepthExceeded):
         act(FormalSum.single(identity_quilt(), 1, QQ), [g], cat2_Q, max_p=1)
+
+
+def test_act_argument_count_checked_under_optimize():
+    # the count check must survive `python -O`, which strips asserts
+    code = (
+        "from quiltops.cochains import act, m_hat\n"
+        "from quiltops.diagrams import category_two_diagram\n"
+        "from quiltops.mquilt import gerstenhaber_element\n"
+        "from quiltops.rings import QQ\n"
+        "dia = category_two_diagram()\n"
+        "f = m_hat(dia)\n"
+        "P2 = gerstenhaber_element('P2', QQ)\n"
+        "for args in ([f, f, f], [f]):\n"
+        "    try:\n"
+        "        act(P2, args, dia)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n")
+    src = os.path.dirname(os.path.dirname(quiltops.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "12;1(2) has 2 inputs and 0 marks: it takes 2 arguments, got 3",
+        "12;1(2) has 2 inputs and 0 marks: it takes 2 arguments, got 1",
+    ]
+
+
+# ------------------------------------------------------------- construction
+
+@pytest.mark.parametrize("ring", [QQ, GF2], ids=["QQ", "GF2"])
+def test_cochain_from_entries_sums_and_prunes(ring):
+    dia = upper_triangular_to_diagonal(ring)
+    entries = [
+        ((0, 2), ("x",), (0, 0, 0), 1),
+        ((1, 1), ("gamma",), (0, 1), 1),
+        ((0, 1), ("x",), (1, 2), 1),
+        ((0, 1), ("y",), (0, 0), 3),
+        ((0, 2), ("x",), (0, 0, 0), 1),      # 2 over QQ, cancels over GF2
+        ((1, 1), ("gamma",), (0, 1), -1),    # the whole bidegree cancels
+        ((0, 1), ("x",), (2, 2), 1),
+        ((0, 1), ("x",), (1, 2), -1),        # one index cancels, the tensor stays
+        ((0, 1), ("y",), (0, 0), -3),        # one tuple cancels, the bidegree stays
+    ]
+    built = Cochain(dia, entries)
+    expect = {(0, 1): {("x",): {(2, 2): ring.one}}}
+    if ring == QQ:
+        expect[(0, 2)] = {("x",): {(0, 0, 0): Fraction(2)}}
+    assert built.data == expect
+    one_at_a_time = Cochain(dia)
+    for entry in entries:
+        one_at_a_time._add(*entry)
+    assert built == one_at_a_time
+
+
+@pytest.mark.parametrize("ring", [QQ, GF2], ids=["QQ", "GF2"])
+def test_cochain_from_entries_equals_add(ring):
+    dia = upper_triangular_to_diagonal(ring)
+    rng = random.Random(7)
+    keys = [((0, 1), ("x",), (0, 1)), ((0, 1), ("x",), (2, 2)),
+            ((0, 1), ("y",), (1, 0)), ((1, 1), ("gamma",), (0, 2)),
+            ((1, 0), ("id_y",), (1,)), ((0, 2), ("y",), (1, 1, 0))]
+    for _ in range(50):
+        entries = [rng.choice(keys) + (rng.randrange(-2, 3),)
+                   for _ in range(rng.randrange(12))]
+        built = Cochain(dia, entries)
+        one_at_a_time = Cochain(dia)
+        for entry in entries:
+            one_at_a_time._add(*entry)
+        assert built == one_at_a_time
+        assert all(comp and all(comp.values()) for comp in built.data.values())
+
+
+# ------------------------------------------------------------- contraction
+#
+# The matrix of a morphism is a one-input multilinear map, so `_along`
+# composes with it through `_tensor_splice`.  These are the three separate
+# kernels that did the same work before, kept as the reference.
+
+def oracle_tensor_post(diagram, f, tensor):
+    """Postcompose the output with the matrix of f."""
+    if diagram.category.is_identity(f):
+        return tensor
+    ring = diagram.ring
+    out = {}
+    for idx, v in tensor.items():
+        for (r, c), w in diagram.matrix(f).items():
+            if c == idx[0]:
+                key = (r,) + idx[1:]
+                u = ring.add(out.get(key, ring.zero), ring.mul(w, v))
+                if ring.is_zero(u):
+                    out.pop(key, None)
+                else:
+                    out[key] = u
+    return out
+
+
+def oracle_tensor_pre(diagram, tensor, j, f):
+    """Precompose input slot j (1-based) with the matrix of f."""
+    if diagram.category.is_identity(f):
+        return tensor
+    ring = diagram.ring
+    out = {}
+    for idx, v in tensor.items():
+        for (r, c), w in diagram.matrix(f).items():
+            if r == idx[j]:
+                key = idx[:j] + (c,) + idx[j + 1:]
+                u = ring.add(out.get(key, ring.zero), ring.mul(w, v))
+                if ring.is_zero(u):
+                    out.pop(key, None)
+                else:
+                    out[key] = u
+    return out
+
+
+def oracle_tensor_splice(ring, T, j, S):
+    """Substitute the multilinear map S into input slot j of T."""
+    out = {}
+    for idx, v in T.items():
+        for sidx, w in S.items():
+            if sidx[0] != idx[j]:
+                continue
+            key = idx[:j] + sidx[1:] + idx[j + 1:]
+            u = ring.add(out.get(key, ring.zero), ring.mul(v, w))
+            if ring.is_zero(u):
+                out.pop(key, None)
+            else:
+                out[key] = u
+    return out
+
+
+@st.composite
+def sparse_tensors(draw, ring, dims):
+    """A tensor over ring whose index t runs over range(dims[t])."""
+    value = st.integers(-3, 3).map(ring.coerce)
+    if ring == QQ:
+        value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, d - 1) for d in dims])
+    T = draw(st.dictionaries(index, value, max_size=12))
+    return {k: v for k, v in T.items() if not ring.is_zero(v)}
+
+
+@st.composite
+def contraction_cases(draw):
+    ring = draw(st.sampled_from([QQ, GF2, GF(3)]))
+    dx, dy, d = (draw(st.integers(1, 3)) for _ in range(3))
+    q = draw(st.integers(1, 3))
+    cat = FiniteCategory(["x", "y"], {"f": ("x", "y")}, {})
+    mat = draw(sparse_tensors(ring, (dy, dx)))
+    dia = DiagramOfAlgebras(cat, {"x": dx, "y": dy}, {}, {"f": mat}, ring,
+                            validate=False)
+    j = draw(st.integers(1, q))
+    return dict(
+        dia=dia, j=j,
+        f=draw(st.sampled_from(["f", "id_x", "id_y"])),
+        post=draw(sparse_tensors(ring, (dx,) + (d,) * q)),
+        pre=draw(sparse_tensors(ring, (d,) * j + (dy,) + (d,) * (q - j))),
+        T=draw(sparse_tensors(ring, (d,) * (q + 1))),
+        S=draw(sparse_tensors(ring, (d,) * draw(st.integers(1, 3)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contraction_cases())
+def test_contraction_matches_oracles(case):
+    dia, j, f = case["dia"], case["j"], case["f"]
+    assert _along(dia, case["post"], 0, f) == oracle_tensor_post(dia, f, case["post"])
+    assert _along(dia, case["pre"], j, f) == oracle_tensor_pre(dia, case["pre"], j, f)
+    ring = dia.ring
+    assert (_tensor_splice(ring, case["T"], j, case["S"])
+            == oracle_tensor_splice(ring, case["T"], j, case["S"]))

@@ -1,8 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from quiltops.rings import QQ, GF2
+from quiltops.rings import QQ, GF2, GF
 from quiltops.diagrams import (NonAssociative, NotFunctorial, NotHomomorphism,
                                BadShape, parse_diagram, category_two_diagram)
+
+from conftest import one_object_diagram, upper_triangular_to_diagonal
 
 DIAGRAM_TEXT = """
 ring Q
@@ -142,3 +147,48 @@ matrix h 1
 """)
     assert d.category.compose("g", "f") == "h"
     assert len(d.category.nerve(2)) > 0
+
+
+# The product loops `validate` ran before `DiagramOfAlgebras.multiply`,
+# kept as the reference for it: e_i e_j read off the structure constants,
+# and the product of two vectors summed over every pair of their entries.
+
+def oracle_multiply_basis(dia, x, i, j):
+    out = {}
+    for (a, b, k), v in dia.mult[x].items():
+        if a == i and b == j:
+            out[k] = v
+    return out
+
+
+def oracle_product(dia, x, u, v):
+    ring = dia.ring
+    out = {}
+    for a, s in u.items():
+        for b, t in v.items():
+            for (p, q, k), w in dia.mult[x].items():
+                if p == a and q == b:
+                    out[k] = ring.add(out.get(k, ring.zero),
+                                      ring.mul(ring.mul(s, t), w))
+    return {k: c for k, c in out.items() if not ring.is_zero(c)}
+
+
+@pytest.mark.parametrize("dia", [
+    upper_triangular_to_diagonal(QQ), upper_triangular_to_diagonal(GF2),
+    upper_triangular_to_diagonal(GF(3)), one_object_diagram(QQ, 3),
+    category_two_diagram(GF2, 3), parse_diagram(MATRIX_ALGEBRA),
+], ids=["uptri-QQ", "uptri-GF2", "uptri-GF3", "one-object", "diag-GF2", "2x2-matrices"])
+def test_multiply_matches_oracle(dia):
+    ring = dia.ring
+    rng = random.Random(3)
+    for x in dia.category.objects:
+        d = dia.dims[x]
+        for i, j in itertools.product(range(d), repeat=2):
+            assert (dia.multiply(x, {i: ring.one}, {j: ring.one})
+                    == oracle_multiply_basis(dia, x, i, j))
+        for _ in range(40):
+            u, v = ({i: ring.coerce(rng.randrange(1, 4)) for i in range(d)
+                     if rng.random() < 0.6} for _ in range(2))
+            u = {i: c for i, c in u.items() if not ring.is_zero(c)}
+            v = {i: c for i, c in v.items() if not ring.is_zero(c)}
+            assert dia.multiply(x, u, v) == oracle_product(dia, x, u, v)
