@@ -48,8 +48,6 @@ def build_complex(n, progress=None):
     bases = {}
     for q in enumerate_quilts(n):
         bases.setdefault(q.degree, []).append(q)
-    for k in bases:
-        bases[k].sort(key=Quilt.sort_key)
     index = {k: {q: i for i, q in enumerate(bs)} for k, bs in bases.items()}
     matrices = {}
     for k in sorted(bases):

@@ -14,7 +14,7 @@ from itertools import combinations
 from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
 from .trees import parity_sign
-from .quilts import enumerate_quilts
+from .quilts import enumerate_quilts, first_occurrence_quilts
 from .extensions import boundary_sum, compose_sums
 from .mquilt import (MQuilt, from_quilt, m_element, mq_compose, mq_permute,
                      boundary_prime)
@@ -71,8 +71,8 @@ def P0(n, ring=ZZ):
     """(-1)^{1+n(n-1)/2} times the sum of maximal quilts labelled in
     first-occurrence order: the maximal quilts on which sgn_K is that
     leading sign alone."""
-    return FormalSum(ring, [(q, sgn_K(q)) for q in maximal_quilts(n)
-                            if q.word.down_order() == list(range(1, n + 1))])
+    firsts = first_occurrence_quilts(n, n - 2) if n >= 2 else []
+    return FormalSum(ring, [(q, sgn_K(q)) for q in firsts])
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,17 @@ Every Quilt validates itself when built, after its Word and Tree have,
 each in linear time: check_axioms makes one pass over the word and one
 over the edges for axiom (1), and for axiom (2) walks the letters between
 the first and last occurrence of each vertex (at most n times the length).
+
+Both axioms are invariant under renaming the vertices, so each quilt is
+the relabelling, by its word's down-order, of exactly one quilt whose word
+first visits 1, 2, ..., n: enumerate_quilts searches trees only for those.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 from .trees import Tree, parse_tree
-from .words import Word, enumerate_words, parse_word
+from .words import Word, first_occurrence_words, parse_word
 
 
 class QuiltAxiomViolated(ValueError):
@@ -122,6 +127,8 @@ def validate_quilt(word, tree):
 
 def parse_quilt(text):
     """Parse the "word;tree" text form, e.g. "1232;1(3,2)"."""
+    if text.count(";") != 1:
+        raise ValueError("expected WORD;TREE such as 1232;1(3,2)")
     ws, ts = text.split(";")
     return Quilt(parse_word(ws), parse_tree(ts))
 
@@ -205,12 +212,25 @@ def compatible_trees(word):
 _shared_tree = lru_cache(maxsize=None)(Tree)
 
 
+def first_occurrence_quilts(n, degree=None):
+    """The quilts of arity n (optionally one degree) whose word first
+    visits 1, 2, ..., n, canonically ordered."""
+    return [Quilt(word, tree) for word in first_occurrence_words(n, degree)
+            for tree in compatible_trees(word)]
+
+
 def enumerate_quilts(n, degree=None):
-    """All quilts of arity n (optionally one degree), canonically ordered."""
+    """All quilts of arity n (optionally one degree), canonically ordered:
+    the first-occurrence quilts relabelled by every permutation of 1..n."""
+    firsts = first_occurrence_quilts(n, degree)
+    words = dict.fromkeys(q.word for q in firsts)
+    trees = dict.fromkeys(q.tree for q in firsts)
     out = []
-    for word in enumerate_words(n, degree):
-        for tree in compatible_trees(word):
-            out.append(Quilt(word, tree))
+    for p in permutations(range(1, n + 1)):
+        new = (0,) + p
+        word_of = {w: w.relabel(new) for w in words}
+        tree_of = {t: _shared_tree(*t.relabelled(new)) for t in trees}
+        out.extend(Quilt(word_of[q.word], tree_of[q.tree]) for q in firsts)
     out.sort(key=Quilt.sort_key)
     return out
 

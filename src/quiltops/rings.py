@@ -148,14 +148,13 @@ def GF(p):
 
 
 def parse_ring(text):
-    """Parse a ring tag as used by the CLI and diagram files: Z, Q, F2, Fp:<p>."""
+    """Parse a ring tag as used by the CLI and diagram files: Z, Q, F<p>, Fp:<p>."""
     t = text.strip()
     if t in ("Z", "ZZ"):
         return ZZ
     if t in ("Q", "QQ"):
         return QQ
-    if t.startswith("Fp:"):
-        return GF(int(t[3:]))
-    if t.startswith("F"):
-        return GF(int(t[1:]))
-    raise RingError("unknown ring %r" % text)
+    p = t[3:] if t.startswith("Fp:") else t[1:] if t.startswith("F") else ""
+    if p.isdecimal():
+        return GF(int(p))
+    raise RingError("unknown ring %r: expected one of Z, Q, F<p>, Fp:<p>" % text)

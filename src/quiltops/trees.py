@@ -161,15 +161,19 @@ class Tree:
     def permute(self, sigma):
         """Replace every vertex u by sigma^{-1}(u); sigma is a dict or tuple
         on {1..n} and this is a right group action."""
+        return Tree(*self.relabelled(_invert(sigma, self.n)))
+
+    def relabelled(self, new):
+        """The (parent, children) tuples of this tree with every vertex u
+        renamed new[u]; new is indexed by label, new[0] unused."""
         n = self.n
-        inv = _invert(sigma, n)
         parent = [0] * (n + 1)
         kids = [()] * (n + 1)
         for v in range(1, n + 1):
             pv = self.parent[v]
-            parent[inv[v]] = inv[pv] if pv else 0
-            kids[inv[v]] = tuple(inv[c] for c in self.children[v])
-        return Tree(tuple(parent), tuple(kids))
+            parent[new[v]] = new[pv] if pv else 0
+            kids[new[v]] = tuple(new[c] for c in self.children[v])
+        return tuple(parent), tuple(kids)
 
     def __str__(self):
         def fmt(u):

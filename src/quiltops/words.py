@@ -8,7 +8,14 @@ last-first pairs.
 Every Word validates itself when built, in time linear in its length:
 surjectivity onto 1..n (one set), no consecutive repeat (one pass) and
 no interlacing (one pass with a stack, _check_interlacing).
+
+Renaming the vertices keeps all three conditions, and a word's down-order
+names the one renaming under which its vertices first occur as 1, ..., n.
+So the words of arity n are in bijection with the pairs (first-occurrence
+word, permutation of 1..n), and only the first-occurrence words are grown.
 """
+
+from itertools import permutations
 
 
 class WordInvalid(ValueError):
@@ -103,8 +110,12 @@ class Word:
     def permute(self, sigma):
         """Replace u by sigma^{-1}(u) (right group action)."""
         from .trees import _invert
-        inv = _invert(sigma, self.n)
-        return Word(tuple(inv[x] for x in self.letters), self.n)
+        return self.relabel(_invert(sigma, self.n))
+
+    def relabel(self, new):
+        """The word with every vertex u renamed new[u]; new is indexed by
+        label, new[0] unused."""
+        return Word(tuple(new[x] for x in self.letters), self.n)
 
     def __str__(self):
         if self.n <= 9:
@@ -139,10 +150,11 @@ def _check_interlacing(letters):
 def parse_word(text):
     """Parse "1232" or "1,2,3,2"."""
     text = text.strip()
-    if "," in text:
-        letters = tuple(int(t) for t in text.split(","))
-    else:
-        letters = tuple(int(ch) for ch in text)
+    try:
+        letters = tuple(int(t) for t in (text.split(",") if "," in text else text))
+    except ValueError:
+        raise WordInvalid("expected a word of vertex labels such as 1232 "
+                          "or 1,2,3,2") from None
     return Word(letters)
 
 
@@ -167,34 +179,39 @@ def word_statistics(w):
     return stats
 
 
-def enumerate_words(n, degree=None):
-    """All words of arity n (optionally of one degree), canonically ordered.
+def first_occurrence_words(n, degree=None):
+    """The words of arity n (optionally of one degree) whose vertices first
+    occur in the order 1, 2, ..., n, canonically ordered.
 
-    Constructive: grow letter by letter; a letter is appendable unless it
-    repeats the previous letter or has been closed by a return to an
-    earlier letter (which is exactly the no-interlacing condition).
+    Grown letter by letter, with the open vertices on a stack as in
+    _check_interlacing: the next letter returns to an open vertex below the
+    top, closing those above it for good, or is the next unused label.
     """
     if n < 1:
         raise ValueError("arity must be at least 1, got %d" % n)
     max_len = 2 * n - 1 if degree is None else n + degree
     out = []
 
-    def grow(letters, stack, closed):
-        # stack and closed as in _check_interlacing; together the vertices seen
-        if len(stack) + len(closed) == n:
+    def grow(letters, stack, seen):
+        if seen == n:
             if degree is None or len(letters) - n == degree:
                 out.append(Word(letters, n))
         if len(letters) >= max_len:
             return
-        for x in range(1, n + 1):
-            if x in closed or (letters and letters[-1] == x):
-                continue
-            if x in stack:
-                i = stack.index(x) + 1
-                grow(letters + (x,), stack[:i], closed | set(stack[i:]))
-            else:
-                grow(letters + (x,), stack + (x,), closed)
+        for i, x in enumerate(stack[:-1]):
+            grow(letters + (x,), stack[:i + 1], seen)
+        if seen < n:
+            grow(letters + (seen + 1,), stack + (seen + 1,), seen + 1)
 
-    grow((), (), frozenset())
+    grow((), (), 0)
+    out.sort(key=Word.sort_key)
+    return out
+
+
+def enumerate_words(n, degree=None):
+    """All words of arity n (optionally of one degree), canonically ordered:
+    the first-occurrence words relabelled by every permutation of 1..n."""
+    firsts = first_occurrence_words(n, degree)
+    out = [w.relabel((0,) + p) for p in permutations(range(1, n + 1)) for w in firsts]
     out.sort(key=Word.sort_key)
     return out

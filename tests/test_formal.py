@@ -80,6 +80,13 @@ def test_parse_ring():
         parse_ring("F4")
 
 
+@pytest.mark.parametrize("text", ["Fp:x", "Fx", "F", "Fp:", "F-3", "X"])
+def test_parse_ring_names_accepted_tags(text):
+    with pytest.raises(RingError) as e:
+        parse_ring(text)
+    assert str(e.value) == "unknown ring %r: expected one of Z, Q, F<p>, Fp:<p>" % text
+
+
 def test_deterministic_order():
     s = FormalSum(ZZ, [(parse_word(w), 1) for w in ("212", "12", "21", "121")])
     assert [str(k) for k in s.keys()] == ["12", "21", "121", "212"]

@@ -8,7 +8,7 @@ from quiltops.homology import (build_complex, homology_ranks, sparse_rank,
                                smith_normal_form)
 from quiltops.rings import QQ, GF2, GF, PrimeField
 from quiltops.formal import FormalSum
-from quiltops.quilts import enumerate_quilts, parse_quilt
+from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt
 from quiltops.extensions import compose
 
 
@@ -21,6 +21,14 @@ def test_build_small():
     assert c1.dim(0) == 1 and c1.degrees() == [0]
     c2 = build_complex(2)
     assert c2.dim(0) == 2 and c2.dim(1) == 0
+
+
+def test_bases_in_sort_key_order():
+    for n in range(1, 5):
+        c = build_complex(n)
+        for k in c.degrees():
+            assert c.bases[k] == sorted(c.bases[k], key=Quilt.sort_key), (n, k)
+        assert [q for k in c.degrees() for q in c.bases[k]] == enumerate_quilts(n)
 
 
 def test_boundary_squared_as_matrices():

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from quiltops.formal import FormalSum
+from quiltops.formal import FormalSum, linear_combination
 from quiltops.rings import ZZ
 from quiltops.linfty import (maximal_quilts, sgn_K, L0, L0_m, L1, L_full, P0,
                              P_full, shuffles, linfty_residual_quilt,
@@ -99,6 +99,28 @@ def test_P0_displays():
     keys = {str(k) for k in p4.keys()}
     assert keys == {"123242;1(3(4),2)", "123242;1(3,4,2)",
                     "123242;1(4,3,2)", "123432;1(4,3,2)"}
+
+
+def _P0_by_filter(n, ring=ZZ):
+    """Oracle: every maximal quilt enumerated, those labelled in
+    first-occurrence order kept."""
+    return FormalSum(ring, [(q, sgn_K(q)) for q in maximal_quilts(n)
+                            if q.word.down_order() == list(range(1, n + 1))])
+
+
+def test_P0_matches_filter_oracle():
+    for n in range(1, 6):
+        assert list(P0(n).items()) == list(_P0_by_filter(n).items()), n
+
+
+def test_L0_symmetrizes_P0():
+    # L0(n) = sum over sigma of sgn(sigma) P0(n) relabelled by sigma
+    for n in range(2, 6):
+        p0 = P0(n)
+        rhs = linear_combination(ZZ, [
+            (sgn_of(p), p0.map_keys(lambda q, p=p: q.permute(p)))
+            for p in itertools.permutations(range(1, n + 1))])
+        assert L0(n) == rhs, n
 
 
 def test_P_full_matches_gerstenhaber_P2():

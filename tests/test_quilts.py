@@ -1,12 +1,24 @@
+import itertools
 import random
 
 import pytest
 
-from quiltops.quilts import (QuiltAxiomViolated, validate_quilt,
+from quiltops.quilts import (Quilt, QuiltAxiomViolated, validate_quilt,
                              parse_quilt, enumerate_quilts, compatible_trees,
                              check_axioms, identity_quilt)
 from quiltops.words import enumerate_words
-from quiltops.trees import enumerate_trees
+from quiltops.trees import Tree, enumerate_trees
+
+
+def _enumerate_quilts_by_words(n, degree=None):
+    """Oracle: the tree search run on every word, not only on the
+    first-occurrence ones."""
+    out = []
+    for word in enumerate_words(n, degree):
+        for tree in compatible_trees(word):
+            out.append(Quilt(word, tree))
+    out.sort(key=Quilt.sort_key)
+    return out
 
 
 def _check_axioms_pair_oracle(word, tree):
@@ -80,7 +92,6 @@ def test_degree_zero_are_linear_extensions():
             for (u, v) in q.tree.edges():
                 assert pos[u] < pos[v]
         count = 0
-        import itertools
         for t in enumerate_trees(n):
             for perm in itertools.permutations(range(1, n + 1)):
                 pos = {v: i for i, v in enumerate(perm)}
@@ -103,6 +114,34 @@ def test_constructive_matches_filter():
                 except QuiltAxiomViolated:
                     pass
             assert cons == sorted(filt, key=lambda t: t.sort_key()), str(w)
+
+
+def test_enumeration_matches_word_oracle():
+    # same quilts in the same order, for every degree
+    for n in range(1, 6):
+        every = _enumerate_quilts_by_words(n)
+        assert enumerate_quilts(n) == every
+        for d in range(-1, n):
+            assert enumerate_quilts(n, d) == [q for q in every if q.degree == d], (n, d)
+
+
+def _assert_trees_relabel(word, p):
+    new = (0,) + p
+    relabelled = sorted((Tree(*t.relabelled(new)) for t in compatible_trees(word)),
+                        key=Tree.sort_key)
+    assert compatible_trees(word.relabel(new)) == relabelled, (word, p)
+
+
+def test_compatible_trees_commute_with_relabelling():
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for w in enumerate_words(n):
+            for p in perms:
+                _assert_trees_relabel(w, p)
+    rng = random.Random(5)
+    words5 = enumerate_words(5)
+    for _ in range(300):
+        _assert_trees_relabel(rng.choice(words5), tuple(rng.sample(range(1, 6), 5)))
 
 
 def test_check_axioms_matches_pair_oracle():

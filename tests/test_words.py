@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiltops.words import (Word, WordInvalid, _check_interlacing,
-                            enumerate_words, parse_word, word_statistics)
+                            enumerate_words, first_occurrence_words, parse_word,
+                            word_statistics)
 
 
 def _closed_set_oracle(letters):
@@ -122,6 +123,14 @@ def test_enumeration():
     assert len(set(ws3)) == len(ws3) == 36
     for w in ws3:
         Word(w.letters, 3)
+
+
+def test_first_occurrence_words_match_filter():
+    for n in range(1, 6):
+        for d in [None] + list(range(-1, n)):
+            firsts = [w for w in enumerate_words(n, d)
+                      if w.down_order() == list(range(1, n + 1))]
+            assert first_occurrence_words(n, d) == firsts, (n, d)
 
 
 def test_permutation_action():
