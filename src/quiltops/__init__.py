@@ -24,7 +24,7 @@ from .extensions import (face, face_signs, boundary, boundary_sum,
                          compose, compose_sums)
 from .homology import build_complex, homology_ranks, project_to_brace
 from .mquilt import (MQuilt, from_quilt, m_element, delta_element, normalize,
-                     mq_compose, mq_boundary, boundary_prime, mq_permute,
+                     mq_compose, mark, mq_boundary, boundary_prime, mq_permute,
                      ad_delta, gerstenhaber_element, verify_identity,
                      IDENTITY_NAMES)
 from .linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0, P_full,

@@ -131,6 +131,9 @@ def _cmd_homology(args):
     if n >= 6 and not args.deep:
         return _fail("homology", "arity %d needs --deep (time and memory not "
                      "measured)" % n)
+    if args.torsion and n > 4:
+        return _fail("homology", "--torsion stops at arity 4: its dense Smith "
+                     "form at arity %d needs gigabytes of memory" % n)
     try:
         ring = parse_ring(args.ring)
     except ValueError as e:

@@ -542,15 +542,6 @@ def mc_residual(f, max_p=DEFAULT_MAX_P):
     return res
 
 
-def quartic_term_direct(f, max_p=DEFAULT_MAX_P):
-    """P4(f,f,f,f) computed from the single surviving maximal quilt, the
-    degree-reasoned truncation of the general formula."""
-    from .quilts import parse_quilt
-    diagram = f.diagram
-    q = parse_quilt("123242;1(3(4),2)")
-    return act(FormalSum(diagram.ring, [(q, -1)]), [f, f, f, f], diagram, max_p)
-
-
 def deformed_diagram(f, validate=True):
     """The diagram with multiplication twisted by the (0,2) part and
     morphisms twisted by the (1,1) part of f; raises DiagramError when

@@ -16,7 +16,7 @@ from .rings import ZZ
 from .trees import parity_sign
 from .quilts import enumerate_quilts, first_occurrence_quilts
 from .extensions import boundary_sum, compose_sums
-from .mquilt import (MQuilt, from_quilt, m_element, mq_compose, mq_permute,
+from .mquilt import (MQuilt, from_quilt, mark, mq_compose, mq_permute,
                      boundary_prime)
 
 
@@ -55,8 +55,9 @@ def L0_m(n, ring=ZZ):
 
 
 def L1(n, ring=ZZ):
-    """L0 of arity n+1 composed with the odd generator at the first slot."""
-    return mq_compose(L0_m(n + 1, ring), 1, m_element(ring))
+    """L0 of arity n+1 composed with the odd generator at the first slot,
+    that is, with slot 1 marked."""
+    return mark(L0_m(n + 1, ring), 1)
 
 
 def L_full(n, ring=ZZ):
@@ -92,7 +93,7 @@ def P_full(n, ring=ZZ):
     Built once per (n, ring): every caller gets the same FormalSum, which
     must not be mutated in place.
     """
-    return combine(P0_m(n, ring), mq_compose(P0_m(n + 1, ring), 1, m_element(ring)))
+    return combine(P0_m(n, ring), mark(P0_m(n + 1, ring), 1))
 
 
 def shuffles(p, q):

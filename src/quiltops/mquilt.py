@@ -15,18 +15,35 @@ The stored representative is a normal form modulo the relations:
       (u keeping v plus a prefix and suffix, v a middle block) is zero.
 
 R4, R5 and R1 are properties of the whole reposition class, so they are
-checked against every placement of the marked letters.  Sums are reduced
-against the R1 relations by echelonizing the redistribution families on
-the component of each key (cached); a key's normal form is its reduction
-against the leaders of that echelon.  Relabelling the marks costs the
-sign of the permutation, the generator being odd.
+checked against every placement of the marked letters.  Relabelling the
+marks costs the sign of the permutation, the generator being odd.
 
-Every sum the module returns is in normal form, and a linear combination
-of sums in normal form stays in normal form: a reduced key is a
-non-leader of its component's echelon, so its normal form is itself.
-So _reduce runs only where raw prenormal sums are formed
-(normalize, mq_compose_basis, mq_boundary, mq_permute, ad_delta), once
-per sum.
+_normal_sum is the one place raw sums are formed: it takes
+(coefficient, quilt, marks) triples, prenormalizes each quilt with its
+marks (R2-R5), accumulates the signed keys in one FormalSum and reduces
+that sum once against R1.  normalize, mq_compose_basis, mq_boundary,
+mq_permute, ad_delta and mark all hand it their triples.  Every sum the
+module returns is in normal form, and a linear combination of sums in
+normal form stays in normal form, so nothing else reduces.
+
+Composing with m is marking a slot.  The quilt of m is the identity
+quilt of arity 1 with its label marked, so by the unit law x o_a m is
+the quilt of x with label a added to its marks; the sign
+(-1)^{marks of x * degree of the identity quilt} of mq_compose_basis is
++1 because that quilt has degree 0.  mark(xs, a) builds those triples
+directly, without composing anything.
+
+R1 is reduced on components: the closure of a key under membership in
+the redistribution families of _families.  Each component keeps one
+fully reduced echelon over QQ, led by the largest key (by sort_key) of
+each row, with every leader cleared from every other row.  A leader's
+normal form is then minus the rest of its row, and any other key is its
+own normal form.  That is the normal form modulo the row space: the
+leaders of a row space under a total order do not depend on the order
+the rows were added in, and a vector modulo the row space has exactly
+one representative free of leaders.  Every member of a component has
+the whole component as its closure, so the order in which keys are
+visited cannot change which echelon a key gets.
 
 The rewriting rules are the ones the computations in low arity actually
 use; they are not proven confluent, so a nonzero residual may mean "not
@@ -36,7 +53,7 @@ reducible by the implemented rules" rather than "nonzero in the operad".
 from functools import lru_cache
 
 from .formal import FormalSum, combine, linear_combination
-from .rings import ZZ
+from .rings import QQ, ZZ
 from .trees import Tree, parity_sign
 from .words import Word
 from .quilts import Quilt, check_axioms, column_quilt, identity_quilt
@@ -176,14 +193,6 @@ def _prenormal(quilt, mset):
     return best[1], best[2]
 
 
-def prenormalize(quilt, mset, ring=ZZ):
-    res = _prenormal(quilt, frozenset(mset))
-    if res is None:
-        return FormalSum(ring)
-    key, sgn = res
-    return FormalSum(ring, [(key, sgn)])
-
-
 @lru_cache(maxsize=None)
 def _families(key):
     """All redistribution relations led by elements of key's orbit.
@@ -242,85 +251,44 @@ _NORMAL_FORMS = {}
 
 
 def _component_echelon(start):
-    """Echelonized redistribution relations on the component of a key.
-
-    The component is the closure of the key under family membership; the
-    echelon maps each leader (the largest key of a reduced relation) to
-    a relation vector with leader coefficient one.  Every member of the
-    component shares the echelon, so it is computed once.
-    """
+    """The fully reduced echelon of the redistribution relations on the
+    component of a key: leader -> row over QQ with leader coefficient one
+    and no other leader in it.  Every member of the component shares the
+    echelon, so it is computed once."""
     if start in _ECHELONS:
         return _ECHELONS[start]
-    from fractions import Fraction
     seen = {start}
     frontier = [start]
-    raw = []
-    rel_seen = set()
+    echelon = {}
     while frontier:
-        k = frontier.pop()
-        for fam in _families(k):
-            vec = {}
-            for mem, s in fam:
-                vec[mem] = vec.get(mem, 0) + s
-            vec = {m: c for m, c in vec.items() if c}
-            if not vec:
-                continue
-            sig = tuple(sorted((m.key(), c) for m, c in vec.items()))
-            if sig not in rel_seen:
-                rel_seen.add(sig)
-                raw.append(vec)
-            for m in vec:
+        for fam in _families(frontier.pop()):
+            rel = FormalSum(QQ, fam)
+            for m in rel.terms:
                 if m not in seen:
                     seen.add(m)
                     frontier.append(m)
-    basis = {}
-    for vec in raw:
-        vec = {m: Fraction(c) for m, c in vec.items()}
-        while vec:
-            lead = max(vec, key=MQuilt.sort_key)
-            if lead not in basis:
-                lc = vec[lead]
-                basis[lead] = {m: c / lc for m, c in vec.items()}
-                break
-            coeff = vec[lead]
-            for m, c in basis[lead].items():
-                w = vec.get(m, Fraction(0)) - coeff * c
-                if w:
-                    vec[m] = w
-                else:
-                    vec.pop(m, None)
-    echelon = basis
+            rel = linear_combination(QQ, [(1, rel)] + [
+                (-c, echelon[m]) for m, c in rel.terms.items() if m in echelon])
+            if rel.is_zero():
+                continue
+            lead = max(rel.terms, key=MQuilt.sort_key)
+            row = rel.scale(1 / rel.terms[lead])
+            for m, r in echelon.items():
+                if lead in r.terms:
+                    echelon[m] = combine(r, row, 1, -r.terms[lead])
+            echelon[lead] = row
     for m in seen:
         _ECHELONS[m] = echelon
     return echelon
 
 
 def _normal_form_of_key(key):
-    """The reduced form of a single basis key against its component."""
-    if key in _NORMAL_FORMS:
-        return _NORMAL_FORMS[key]
-    from fractions import Fraction
-    echelon = _component_echelon(key)
-    vec = {key: Fraction(1)}
-    while True:
-        lead = None
-        for m in sorted(vec, key=MQuilt.sort_key, reverse=True):
-            if m in echelon:
-                lead = m
-                break
-        if lead is None:
-            break
-        coeff = vec.pop(lead)
-        for m, c in echelon[lead].items():
-            if m == lead:
-                continue
-            w = vec.get(m, Fraction(0)) - coeff * c
-            if w:
-                vec[m] = w
-            else:
-                vec.pop(m, None)
-    _NORMAL_FORMS[key] = vec
-    return vec
+    """The normal form of one basis key, as {basis key: coefficient}."""
+    if key not in _NORMAL_FORMS:
+        row = _component_echelon(key).get(key)
+        _NORMAL_FORMS[key] = {key: 1} if row is None else {
+            m: -c for m, c in row.terms.items() if m != key}
+    return _NORMAL_FORMS[key]
 
 
 def _reduce(sum_):
@@ -332,9 +300,22 @@ def _reduce(sum_):
                             for m, f in _normal_form_of_key(key).items()))
 
 
+def _normal_sum(ring, triples):
+    """The normal form of the sum of c * (quilt with the labels in marks
+    marked) over the (c, quilt, marks) triples."""
+    def terms():
+        for c, quilt, marks in triples:
+            pre = _prenormal(quilt, frozenset(marks))
+            if pre is not None:
+                key, sgn = pre
+                yield key, c * sgn
+
+    return _reduce(FormalSum(ring, terms()))
+
+
 def normalize(quilt, mset, ring=ZZ):
     """Full normal form of a raw marked quilt as a FormalSum."""
-    return _reduce(prenormalize(quilt, mset, ring))
+    return _normal_sum(ring, [(1, quilt, mset)])
 
 
 def mq_compose_basis(x, a, y, ring=ZZ):
@@ -351,9 +332,8 @@ def mq_compose_basis(x, a, y, ring=ZZ):
     sign = -1 if (kx * y.quilt.degree) % 2 else 1
     marks = ([v + a - 1 for v in range(ny + 1, Ny + 1)] +
              [u + Ny - 1 for u in range(nx + 1, nx + kx + 1)])
-    return _reduce(linear_combination(ring, (
-        (sign * c, prenormalize(q, marks, ring))
-        for q, c in compose(x.quilt, a, y.quilt).terms.items())))
+    return _normal_sum(ring, ((sign * c, q, marks)
+                              for q, c in compose(x.quilt, a, y.quilt).terms.items()))
 
 
 def mq_compose(xs, a, ys):
@@ -374,6 +354,16 @@ def m_element(ring=ZZ):
     return FormalSum(ring, [(M_ELEMENT_KEY, 1)])
 
 
+def mark(xs, a):
+    """xs o_a m: each term with label a added to its marks, sign +1."""
+    def triples():
+        for x, c in xs.terms.items():
+            check_slot(a, x.arity, x)
+            yield c, x.quilt, x.marked() | {a}
+
+    return _normal_sum(xs.ring, triples())
+
+
 @lru_cache(maxsize=None)
 def delta_element(ring=ZZ):
     """The arity-1 element whose adjoint action extends the boundary.
@@ -382,38 +372,29 @@ def delta_element(ring=ZZ):
     not be mutated in place.
     """
     one = FormalSum(ring, [(from_quilt(column_quilt()), 1)])
-    return combine(mq_compose(one, 1, m_element(ring)),
-                   mq_compose(one, 2, m_element(ring)), 1, -1)
+    return combine(mark(one, 1), mark(one, 2), 1, -1)
 
 
 def mq_boundary(xs):
     """The word boundary, extended by zero on the marks."""
-    ring = xs.ring
-
-    def terms():
-        for x, c in xs.terms.items():
-            marks = x.marked()
-            for i, s in face_signs(x.quilt.word.letters):
-                yield (ring.mul(c, ring.coerce(s)),
-                       prenormalize(face(x.quilt, i), marks, ring))
-
-    return _reduce(linear_combination(ring, terms()))
+    return _normal_sum(xs.ring, ((c * s, face(x.quilt, i), x.marked())
+                                 for x, c in xs.terms.items()
+                                 for i, s in face_signs(x.quilt.word.letters)))
 
 
 def mq_permute(xs, sigma):
     """Right action of a permutation of the unmarked slots."""
-    ring = xs.ring
+    def triples():
+        for x, c in xs.terms.items():
+            full = dict(sigma) if isinstance(sigma, dict) else {
+                i + 1: v for i, v in enumerate(sigma)}
+            for v in range(1, x.arity + 1):
+                full.setdefault(v, v)
+            for v in x.marked():
+                full[v] = v
+            yield c, x.quilt.permute(full), x.marked()
 
-    def image(x):
-        full = dict(sigma) if isinstance(sigma, dict) else {
-            i + 1: v for i, v in enumerate(sigma)}
-        for v in range(1, x.arity + 1):
-            full.setdefault(v, v)
-        for v in x.marked():
-            full[v] = v
-        return prenormalize(x.quilt.permute(full), x.marked(), ring)
-
-    return _reduce(xs.bind(image))
+    return _normal_sum(xs.ring, triples())
 
 
 def _insert_before_first(word, u, new):
@@ -474,15 +455,12 @@ def ad_delta(xs):
     Q5_{u,v,w} over the consecutive children v, w of u, each with the new
     vertex N+1 marked.  A marked basis element x is its quilt q composed
     with m at the marked slots.  ad_Delta = [Delta, -] is a derivation and
-    Delta o_1 m = 0, so ad_Delta(q o m) = ad_Delta(q) o m; composing with
-    m at a slot only marks that label, with sign +1, because the quilt of
-    m has degree 0 in mq_compose_basis.  So x contributes the
-    modifications of its quilt, signed by the degree of that quilt, with
-    the marks of x and N+1.
+    Delta o_1 m = 0, so ad_Delta(q o m) = ad_Delta(q) o m, and composing
+    with m at a slot only marks that label, with sign +1 (see mark).  So
+    x contributes the modifications of its quilt, signed by the degree of
+    that quilt, with the marks of x and N+1.
     """
-    ring = xs.ring
-
-    def terms():
+    def triples():
         for x, c in xs.terms.items():
             q = x.quilt
             sgn = -1 if q.degree % 2 else 1
@@ -493,9 +471,9 @@ def ad_delta(xs):
             mods += [(sgn, modification(q, 5, u, pair))
                      for u in range(1, q.n + 1) for pair in zip(kids[u], kids[u][1:])]
             for s, mod in mods:
-                yield ring.mul(c, ring.coerce(s)), prenormalize(mod, marks, ring)
+                yield c * s, mod, marks
 
-    return _reduce(linear_combination(ring, terms()))
+    return _normal_sum(xs.ring, triples())
 
 
 def boundary_prime(xs):

@@ -72,6 +72,17 @@ def test_homology_arity_below_1_exits_2(capsys, arity):
     assert out == "" and "has no quilts" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["5"], ["6", "--deep"]], ids=["arity-5", "arity-6-deep"])
+def test_homology_torsion_above_arity_4_exits_2(capsys, argv):
+    # refused before the complex is built: the dense Smith form at arity 5
+    # alone would be a 12600 x 22080 matrix of Python ints
+    code, out, err = run(["homology", "--torsion", "--arity"] + argv, capsys)
+    assert code == 2
+    assert out == "" and err == (
+        "homology: --torsion stops at arity 4: its dense Smith form at arity %s "
+        "needs gigabytes of memory\n" % argv[0])
+
+
 @pytest.mark.parametrize("argv,message", [
     (["enumerate", "word", "--arity", "0"],
      "enumerate: --arity 0 has no words: arities start at 1"),

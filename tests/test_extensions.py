@@ -438,11 +438,14 @@ def test_slot_out_of_range_raises_under_optimize():
     # the slot check must survive `python -O`, which strips asserts
     code = (
         "from quiltops.extensions import compose\n"
-        "from quiltops.mquilt import MQuilt, mq_compose_basis\n"
+        "from quiltops.formal import FormalSum\n"
+        "from quiltops.mquilt import MQuilt, mark, mq_compose_basis\n"
         "from quiltops.quilts import parse_quilt\n"
         "q = parse_quilt('1232;1(3,2)')\n"
+        "x = FormalSum.single(MQuilt(q, 1))\n"
         "for call in (lambda: compose(q, 9, q), lambda: compose(q.tree, 0, q.tree),\n"
-        "             lambda: mq_compose_basis(MQuilt(q, 1), 3, MQuilt(q, 1))):\n"
+        "             lambda: mq_compose_basis(MQuilt(q, 1), 3, MQuilt(q, 1)),\n"
+        "             lambda: mark(x, 0), lambda: mark(x, 3)):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as e:\n"
@@ -455,5 +458,7 @@ def test_slot_out_of_range_raises_under_optimize():
     assert out.stdout.splitlines() == [
         "slot 9 is outside 1..3, the arity of 1232",
         "slot 0 is outside 1..3, the arity of 1(3,2)",
+        "slot 3 is outside 1..2, the arity of 1232;1(3,2)[m3]",
+        "slot 0 is outside 1..2, the arity of 1232;1(3,2)[m3]",
         "slot 3 is outside 1..2, the arity of 1232;1(3,2)[m3]",
     ]

@@ -1,10 +1,9 @@
 import itertools
-import random
 
-from quiltops.formal import FormalSum, linear_combination
-from quiltops.rings import ZZ
+from quiltops.formal import FormalSum, combine, linear_combination
+from quiltops.rings import ZZ, QQ, GF2
 from quiltops.linfty import (maximal_quilts, sgn_K, L0, L0_m, L1, L_full, P0,
-                             P_full, shuffles, linfty_residual_quilt,
+                             P0_m, P_full, shuffles, linfty_residual_quilt,
                              linfty_residual_mquilt, linfty_residual_coinvariant,
                              linfty_residual_integer_route, coinvariant_reduce)
 from quiltops.quilts import enumerate_quilts, parse_quilt
@@ -50,15 +49,12 @@ def test_sgn_K():
 
 
 def test_sgn_K_equivariance():
-    random.seed(21)
-    for q in maximal_quilts(3):
-        for p in itertools.permutations((1, 2, 3)):
-            sigma = {i + 1: p[i] for i in range(3)}
-            # relabelling composes the defining permutation
-            lhs = sgn_K(q.permute(sigma))
-            # sign of sigma times sgn_K(q): check group-theoretically
-            assert lhs == sgn_of([sigma[v] for v in (1, 2, 3)]) * sgn_K(q) or True
-    # the reliable statement: L0 is antisymmetric, tested below
+    # relabelling by sigma composes the defining permutation with sigma
+    for n in (3, 4):
+        for q in maximal_quilts(n):
+            for p in itertools.permutations(range(1, n + 1)):
+                sigma = {i + 1: p[i] for i in range(n)}
+                assert sgn_K(q.permute(sigma)) == sgn_of(p) * sgn_K(q), (q, p)
 
 
 def test_L0_antisymmetry():
@@ -71,6 +67,27 @@ def test_L0_antisymmetry():
 
 def test_L1_of_1_is_delta():
     assert L1(1) == delta_element()
+
+
+def _L1_by_composition(n, ring):
+    """Oracle for L1: L0 of arity n+1 composed with m at slot 1."""
+    return mq_compose(L0_m(n + 1, ring), 1, m_element(ring))
+
+
+def _P_full_by_composition(n, ring):
+    """Oracle for P_full: P0_n + P0_{n+1} composed with m at slot 1."""
+    return combine(P0_m(n, ring), mq_compose(P0_m(n + 1, ring), 1, m_element(ring)))
+
+
+def test_constants_by_marking_match_composition():
+    # same terms in the same insertion order as composing with m
+    for ring in (ZZ, QQ, GF2):
+        for n in range(1, 5):
+            assert (list(L1(n, ring).terms.items())
+                    == list(_L1_by_composition(n, ring).terms.items())), (n, ring)
+        for n in range(2, 5):
+            assert (list(P_full(n, ring).terms.items())
+                    == list(_P_full_by_composition(n, ring).terms.items())), (n, ring)
 
 
 def test_L2_vanishes():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,14 +8,15 @@ from quiltops.rings import ZZ, GF2
 from quiltops.quilts import (parse_quilt, enumerate_quilts, Quilt, check_axioms,
                              QuiltAxiomViolated, column_quilt)
 from quiltops.words import Word
+from quiltops import mquilt
 from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
-                             mq_compose, mq_boundary,
+                             mq_compose, mark, mq_boundary,
                              boundary_prime, mq_permute, ad_delta,
                              normalize, to_quilt_sum,
                              gerstenhaber_element, verify_identity,
                              IDENTITY_NAMES, modification, _class_words,
-                             _reduce)
-from quiltops.linfty import L0_m, L_full, P_full
+                             _families, _normal_form_of_key, _reduce)
+from quiltops.linfty import L0_m, L_full, P_full, linfty_residual_mquilt
 
 GERSTENHABER_NAMES = ("M2", "P2", "L2", "P3'", "L3", "C3", "D3")
 
@@ -224,16 +226,92 @@ def test_ad_delta_matches_composition():
         assert ad_delta(s) == _ad_delta_by_composition(s), s
 
 
+def test_mark_matches_composition_with_m():
+    # the unit law: x o_a m is x with slot a marked, sign +1
+    keys = _normal_form_keys((1, 2, 3), (0, 1, 2, 3)) + _normal_form_keys((4,), (1, 2, 3))
+    sums = [FormalSum(ZZ, [(key, 1)]) for key in keys] + [L0_m(4)]
+    slots = 0
+    for s in sums:
+        for a in range(1, s.keys()[0].arity + 1):
+            assert mark(s, a) == mq_compose(s, a, m_element()), (s, a)
+            slots += 1
+    assert slots == 1088
+
+
 def test_outputs_are_reduced():
     # every sum the module returns is in normal form, so it is reduced once
     P2, D3, L3 = (gerstenhaber_element(name) for name in ("P2", "D3", "L3"))
-    outputs = [mq_compose(P2, 1, D3), mq_compose(L_full(3), 2, P2),
+    outputs = [mark(L0_m(4), 1), mark(L3, 2),
+               mq_compose(P2, 1, D3), mq_compose(L_full(3), 2, P2),
                mq_permute(D3, {1: 3, 3: 1}), mq_permute(P_full(3), {1: 2, 2: 1}),
                mq_boundary(L3), mq_boundary(P_full(4)),
                ad_delta(D3), ad_delta(L_full(4)),
                boundary_prime(L3), boundary_prime(P_full(4))]
     for s in outputs:
         assert not s.is_zero() and _reduce(s) == s, s
+
+
+def _normal_form_by_reduction(key):
+    """Oracle for _normal_form_of_key: the distinct relations of key's
+    component, echelonized in the order found without back-substitution,
+    then key reduced against the largest leader left until none is."""
+    seen, frontier, raw, rel_seen = {key}, [key], [], set()
+    while frontier:
+        for fam in _families(frontier.pop()):
+            vec = {}
+            for mem, s in fam:
+                vec[mem] = vec.get(mem, 0) + s
+            vec = {m: c for m, c in vec.items() if c}
+            sig = tuple(sorted((m.key(), c) for m, c in vec.items()))
+            if vec and sig not in rel_seen:
+                rel_seen.add(sig)
+                raw.append(vec)
+            for m in vec:
+                if m not in seen:
+                    seen.add(m)
+                    frontier.append(m)
+    basis = {}
+    for vec in raw:
+        vec = {m: Fraction(c) for m, c in vec.items()}
+        while vec:
+            lead = max(vec, key=MQuilt.sort_key)
+            if lead not in basis:
+                basis[lead] = {m: c / vec[lead] for m, c in vec.items()}
+                break
+            coeff = vec[lead]
+            for m, c in basis[lead].items():
+                vec[m] = vec.get(m, 0) - coeff * c
+                if not vec[m]:
+                    del vec[m]
+    vec = {key: Fraction(1)}
+    while True:
+        leads = [m for m in vec if m in basis]
+        if not leads:
+            return vec
+        lead = max(leads, key=MQuilt.sort_key)
+        coeff = vec.pop(lead)
+        for m, c in basis[lead].items():
+            if m != lead:
+                vec[m] = vec.get(m, 0) - coeff * c
+                if not vec[m]:
+                    del vec[m]
+
+
+def test_normal_forms_match_reduction_oracle():
+    # the reduced echelon gives the normal form of the old reduction loop
+    # on every key the identities and the relations up to arity 4 reach,
+    # starting from empty memo tables
+    _families.cache_clear()
+    mquilt._ECHELONS.clear()
+    mquilt._NORMAL_FORMS.clear()
+    gerstenhaber_element.cache_clear()
+    for name in IDENTITY_NAMES:
+        assert verify_identity(name).is_zero(), name
+    for n in (2, 3, 4):
+        assert linfty_residual_mquilt(n).is_zero(), n
+    assert len(mquilt._ECHELONS) == 2024
+    for key in list(mquilt._ECHELONS):
+        assert _normal_form_of_key(key) == _normal_form_by_reduction(key), key
 
 
 def test_ad_delta_column_reproduces_cup_terms():
