@@ -12,6 +12,11 @@ kappa sending the non-final occurrences of a in the outer word to cut
 positions in the inner word; tree extensions from weakly increasing maps
 sending the children of a to corners of the inner tree.  The exponential
 filter over all candidates survives only in the test oracles.
+
+A face deletes one occurrence of a repeated vertex.  A face of a quilt is a
+quilt on its tree: deleting a letter keeps every condition (in u x u, x
+repeats only by interlacing).  No letter repeats consecutively, so the faces
+of a word are distinct.  boundary_sum builds only the faces that survive.
 """
 
 from itertools import combinations_with_replacement
@@ -27,15 +32,11 @@ from .quilts import Quilt
 
 def face(x, i):
     """Delete occurrence i if its vertex is repeated, else None (zero)."""
-    if isinstance(x, Quilt):
-        w = face(x.word, i)
-        return None if w is None else Quilt(w, x.tree)
-    letters = x.letters
-    if not (0 <= i < len(letters)):
+    word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
+    if not (0 <= i < len(word)):
         raise IndexError("occurrence %d out of range" % i)
-    if letters.count(letters[i]) < 2:
-        return None
-    return Word(letters[:i] + letters[i + 1:], x.n)
+    f = word.letters[:i] + word.letters[i + 1:]
+    return _built(f, tree) if word.count(word.letters[i]) > 1 else None
 
 
 def face_signs(letters):
@@ -59,10 +60,20 @@ def face_signs(letters):
     return out
 
 
+def _faces(letters):
+    """(face letters, sign) for every (i, sign) of face_signs."""
+    return [(letters[:i] + letters[i + 1:], s) for i, s in face_signs(letters)]
+
+
+def _built(letters, tree):
+    """The face with these letters: a word, or with a tree a quilt."""
+    return Word(letters) if tree is None else Quilt(Word(letters, tree.n), tree)
+
+
 def boundary(x):
     """Signed sum of faces; lowers degree by one."""
-    word = x.word if isinstance(x, Quilt) else x
-    return FormalSum(ZZ, [(face(x, i), s) for i, s in face_signs(word.letters)])
+    word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
+    return FormalSum(ZZ, [(_built(f, tree), s) for f, s in _faces(word.letters)])
 
 
 # ----------------------------------------------------------- extensions
@@ -216,8 +227,12 @@ def compose(x, a, y):
 
 
 def boundary_sum(xs):
-    """Linear extension of boundary to formal sums."""
-    return xs.bind(boundary)
+    """Linear extension of boundary; each pair is dropped as its face is built."""
+    parts = lambda x: (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
+    pairs = FormalSum(xs.ring, (((f, tree), c * s)
+                                for x, c in xs.terms.items() for word, tree in [parts(x)]
+                                for f, s in _faces(word.letters))).terms
+    return FormalSum(xs.ring, ((_built(*key), pairs.pop(key)) for key in list(pairs)))
 
 
 def compose_sums(xs, a, ys):

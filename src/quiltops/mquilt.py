@@ -57,7 +57,7 @@ from .rings import QQ, ZZ
 from .trees import Tree, parity_sign
 from .words import Word
 from .quilts import Quilt, check_axioms, column_quilt, identity_quilt
-from .extensions import check_slot, compose, face, face_signs
+from .extensions import _built, _faces, check_slot, compose
 
 
 class MQuilt:
@@ -377,9 +377,9 @@ def delta_element(ring=ZZ):
 
 def mq_boundary(xs):
     """The word boundary, extended by zero on the marks."""
-    return _normal_sum(xs.ring, ((c * s, face(x.quilt, i), x.marked())
+    return _normal_sum(xs.ring, ((c * s, _built(f, x.quilt.tree), x.marked())
                                  for x, c in xs.terms.items()
-                                 for i, s in face_signs(x.quilt.word.letters)))
+                                 for f, s in _faces(x.quilt.word.letters)))
 
 
 def mq_permute(xs, sigma):

@@ -3,8 +3,8 @@
 bench/spans.py reads functions and memo tables of the engine by name.  A
 refactor that renames or unwraps one of them leaves its metric null, and
 the traced run then ends without a full result.  Installing the tracer
-resolves every span and gauge in all modules, so one short workload
-checks them all.
+resolves every span and gauge in all modules; each workload then checks
+that the metrics its round computes read as numbers.
 """
 
 import json
@@ -13,15 +13,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_round_reads_every_per_layer_metric():
+def _workloads():
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _workloads())
+def test_traced_round_reads_every_per_layer_metric(workload):
     with open(ROOT / "BENCHMARK.json") as fh:
         names = [m["name"] for m in json.load(fh)["per_layer"]
                  if m["name"] != "trace.overhead_s"]
     cmd = [sys.executable, str(ROOT / "bench" / "worker.py"),
-           "--workload", "maurer-cartan", "--seed", "1", "--trace",
+           "--workload", workload, "--seed", "1", "--trace",
            "--metrics", ",".join(names)]
     proc = subprocess.run(cmd, cwd=ROOT, env=dict(os.environ, PYTHONHASHSEED="0"),
                           capture_output=True, text=True, timeout=120)

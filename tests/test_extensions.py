@@ -3,16 +3,20 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
 
 import quiltops
 from quiltops.extensions import (face, face_signs, boundary, boundary_sum,
                                  tree_extensions, word_extensions,
-                                 extension_sign, compose, compose_sums)
+                                 extension_sign, compose, compose_sums, _faces)
 from quiltops.formal import FormalSum, parse_formal
-from quiltops.rings import ZZ
+from quiltops.linfty import L0, P0
+from quiltops.rings import ZZ, QQ, GF2
 from quiltops.trees import Tree, enumerate_trees, parse_tree
 from quiltops.words import Word, enumerate_words, parse_word
-from quiltops.quilts import enumerate_quilts, parse_quilt, identity_quilt
+from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt, identity_quilt
 
 
 # ------------------------------------------------------------- oracles
@@ -234,6 +238,90 @@ def test_boundary_squared_exhaustive():
 
 def test_degree_zero_boundary():
     assert boundary(parse_quilt("12;1(2)")).is_zero()
+
+
+# boundary_sum builds only the faces that survive, so nothing validates
+# the cancelled ones as a side effect: the two lemmas it rests on are
+# tested here directly.
+
+def test_every_face_of_a_quilt_is_a_quilt():
+    quilts = [q for n in range(1, 5) for q in enumerate_quilts(n)]
+    quilts += random.Random(14).sample(enumerate_quilts(5), 2000)
+    built = 0
+    for q in quilts:
+        for f, s in _faces(q.word.letters):
+            Quilt(Word(f, q.n), q.tree)
+            built += 1
+    assert built == 5127
+
+
+def test_faces_of_one_word_are_distinct():
+    for n in range(1, 6):
+        for w in enumerate_words(n):
+            faces = [f for f, _ in _faces(w.letters)]
+            assert len(set(faces)) == len(faces), str(w)
+
+
+def _boundary_sum_oracle(xs):
+    """Build every face as a word or quilt, then let them cancel."""
+    return xs.bind(boundary)
+
+
+def _assert_same_sum(got, expect):
+    assert got.ring == expect.ring
+    assert got.terms == expect.terms
+    assert list(got.terms.items()) == list(expect.terms.items())
+
+
+@lru_cache(maxsize=None)
+def _quilts(n):
+    return enumerate_quilts(n)
+
+
+def test_boundary_sum_matches_oracle_on_constants():
+    for ring in (ZZ, QQ, GF2):
+        for n in (3, 4, 5):
+            x = L0(n, ring)
+            dx = boundary_sum(x)
+            _assert_same_sum(dx, _boundary_sum_oracle(x))
+            if n < 5 or ring is not QQ:  # one ring per characteristic at arity 5
+                _assert_same_sum(boundary_sum(dx), _boundary_sum_oracle(dx))
+        for n in (2, 3, 4):
+            x = P0(n, ring)
+            _assert_same_sum(boundary_sum(x), _boundary_sum_oracle(x))
+
+
+def test_boundary_sum_matches_oracle_on_seeded_sums():
+    rng = random.Random(14)
+    cancelled = 0
+    for ring in (ZZ, QQ, GF2):
+        for n in (2, 3, 4):
+            for basis in (enumerate_words(n), _quilts(n)):
+                for _ in range(10):
+                    xs = FormalSum(ring, [(rng.choice(basis), rng.randint(-2, 2))
+                                          for _ in range(rng.randint(1, 40))])
+                    expect = _boundary_sum_oracle(xs)
+                    _assert_same_sum(boundary_sum(xs), expect)
+                    faces = sum(len(_faces((x.word if isinstance(x, Quilt) else x).letters))
+                                for x in xs.terms)
+                    cancelled += faces > len(expect)
+    assert cancelled > 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([ZZ, QQ, GF2]))
+def test_boundary_sum_matches_oracle_on_repeated_keys(data, ring):
+    # quilts of arity 4 on one tree or with one word, repeated, so that
+    # faces meet on the same tree and on the same letters
+    quilts = _quilts(4)
+    tree = data.draw(st.sampled_from(quilts)).tree
+    word = data.draw(st.sampled_from(quilts)).word
+    pool = [q for q in quilts if q.tree == tree or q.word == word]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-2, 2)),
+                               min_size=1, max_size=12))
+    xs = FormalSum(ring, pairs)
+    for ys in (xs, boundary_sum(xs)):
+        _assert_same_sum(boundary_sum(ys), _boundary_sum_oracle(ys))
 
 
 # ----------------------------------------------------------- extensions

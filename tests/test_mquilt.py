@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiltops.extensions import face, face_signs
 from quiltops.formal import FormalSum, combine, linear_combination
 from quiltops.rings import ZZ, GF2
 from quiltops.quilts import (parse_quilt, enumerate_quilts, Quilt, check_axioms,
@@ -15,7 +16,8 @@ from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
                              normalize, to_quilt_sum,
                              gerstenhaber_element, verify_identity,
                              IDENTITY_NAMES, modification, _class_words,
-                             _families, _normal_form_of_key, _reduce)
+                             _families, _normal_form_of_key, _normal_sum,
+                             _reduce)
 from quiltops.linfty import L0_m, L_full, P_full, linfty_residual_mquilt
 
 GERSTENHABER_NAMES = ("M2", "P2", "L2", "P3'", "L3", "C3", "D3")
@@ -215,6 +217,24 @@ def _normal_form_keys(arities, mark_counts):
     return list(keys)
 
 
+def _mq_boundary_by_face(xs):
+    """The raw marked faces built one by one through face()."""
+    return _normal_sum(xs.ring, ((c * s, face(x.quilt, i), x.marked())
+                                 for x, c in xs.terms.items()
+                                 for i, s in face_signs(x.quilt.word.letters)))
+
+
+def test_mq_boundary_matches_face_oracle():
+    # same terms in the same order, so the memo tables fill the same way
+    for ring in (ZZ, GF2):
+        sums = [L_full(n, ring) for n in (2, 3, 4)] + [P_full(n, ring) for n in (2, 3)]
+        sums += [gerstenhaber_element(name, ring) for name in GERSTENHABER_NAMES]
+        for xs in sums:
+            got, expect = mq_boundary(xs), _mq_boundary_by_face(xs)
+            assert list(got.terms.items()) == list(expect.terms.items()), xs
+    assert not mq_boundary(L_full(3)).is_zero()
+
+
 def test_ad_delta_matches_composition():
     small = _normal_form_keys((1, 2, 3), (0, 1, 2, 3))
     marked4 = _normal_form_keys((4,), (1, 2, 3))
@@ -309,7 +329,11 @@ def test_normal_forms_match_reduction_oracle():
         assert verify_identity(name).is_zero(), name
     for n in (2, 3, 4):
         assert linfty_residual_mquilt(n).is_zero(), n
+    # the memo tables fill exactly as they did before boundaries took their
+    # faces from letter tuples
     assert len(mquilt._ECHELONS) == 2024
+    assert len(mquilt._NORMAL_FORMS) == 2006
+    assert _families.cache_info().currsize == 2024
     for key in list(mquilt._ECHELONS):
         assert _normal_form_of_key(key) == _normal_form_by_reduction(key), key
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiltops.quilts import (Quilt, QuiltAxiomViolated, validate_quilt,
                              parse_quilt, enumerate_quilts, compatible_trees,
@@ -73,6 +74,16 @@ def test_axiom1_witness():
 def test_parse_roundtrip():
     q = parse_quilt("1232;1(3,2)")
     assert str(q) == "1232;1(3,2)"
+    assert parse_quilt(str(q)) == q
+
+
+_SMALL_QUILTS = [q for n in range(1, 5) for q in enumerate_quilts(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SMALL_QUILTS).flatmap(
+    lambda q: st.permutations(range(1, q.n + 1)).map(q.permute)))
+def test_parse_print_round_trip(q):
     assert parse_quilt(str(q)) == q
 
 

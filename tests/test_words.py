@@ -146,3 +146,33 @@ def test_permutation_action():
 
 def test_down_order():
     assert parse_word("3121").down_order() == [3, 1, 2]
+
+
+
+@st.composite
+def _words(draw, min_n, max_n):
+    """A word of arity min_n..max_n, grown with the open vertices on a stack
+    as first_occurrence_words grows them, then relabelled at random."""
+    n = draw(st.integers(min_n, max_n))
+    letters, stack, seen = [], [], 0
+    while seen < n or (len(stack) > 1 and draw(st.booleans())):
+        # return to one of the open vertices below the top, or open the
+        # next label
+        returns = max(len(stack) - 1, 0)
+        i = draw(st.integers(0, returns if seen < n else returns - 1))
+        if i < returns:
+            stack = stack[:i + 1]
+        else:
+            seen += 1
+            stack.append(seen)
+        letters.append(stack[-1])
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Word(tuple(perm[x - 1] for x in letters), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_words(1, 9), _words(10, 14)))
+def test_parse_print_round_trip(w):
+    text = str(w)
+    assert ("," in text) == (w.n >= 10)
+    assert parse_word(text) == w
