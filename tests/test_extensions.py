@@ -249,7 +249,7 @@ def test_every_face_of_a_quilt_is_a_quilt():
     quilts += random.Random(14).sample(enumerate_quilts(5), 2000)
     built = 0
     for q in quilts:
-        for f, s in _faces(q.word.letters):
+        for f, _ in _faces(q.word.letters):
             Quilt(Word(f, q.n), q.tree)
             built += 1
     assert built == 5127
@@ -269,7 +269,6 @@ def _boundary_sum_oracle(xs):
 
 def _assert_same_sum(got, expect):
     assert got.ring == expect.ring
-    assert got.terms == expect.terms
     assert list(got.terms.items()) == list(expect.terms.items())
 
 

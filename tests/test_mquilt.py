@@ -329,8 +329,8 @@ def test_normal_forms_match_reduction_oracle():
         assert verify_identity(name).is_zero(), name
     for n in (2, 3, 4):
         assert linfty_residual_mquilt(n).is_zero(), n
-    # the memo tables fill exactly as they did before boundaries took their
-    # faces from letter tuples
+    # the sizes the memo tables reach from empty: how faces are summed must
+    # not change which keys the normal form visits
     assert len(mquilt._ECHELONS) == 2024
     assert len(mquilt._NORMAL_FORMS) == 2006
     assert _families.cache_info().currsize == 2024
