@@ -247,7 +247,7 @@ def _cmd_rep(args):
 
 
 def _load_cochain(dia, path):
-    """Cochain file: lines "p q morphisms... : out in... value".
+    """Cochain file: lines "p q morphisms... : out in... value", or "0".
 
     Raises ValueError naming the first bad line: a malformed line, a value
     outside the ring, a tuple outside the nerve in degree p, an index
@@ -261,7 +261,7 @@ def _load_cochain(dia, path):
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
+            if line in ("", "0"):       # "0": _dump_cochain's zero cochain
                 continue
             try:
                 head, tail = line.split(":")

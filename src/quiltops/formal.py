@@ -47,10 +47,6 @@ class FormalSum:
         self.terms = data
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring)
-
-    @classmethod
     def single(cls, key, coeff=1, ring=ZZ):
         return cls(ring, [(key, coeff)])
 
@@ -97,7 +93,7 @@ class FormalSum:
 
     def map_keys(self, fn):
         """Apply fn to every key; collisions are summed."""
-        return FormalSum(self.ring, [(fn(k), v) for k, v in self.terms.items()])
+        return FormalSum(self.ring, ((fn(k), v) for k, v in self.terms.items()))
 
     def bind(self, fn):
         """Substitute each key by a FormalSum: sum of coeff * fn(key).

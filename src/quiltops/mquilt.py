@@ -51,6 +51,7 @@ reducible by the implemented rules" rather than "nonzero in the operad".
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 from .formal import FormalSum, combine, linear_combination
 from .rings import QQ, ZZ
@@ -397,6 +398,12 @@ def mq_permute(xs, sigma):
     return _normal_sum(xs.ring, triples())
 
 
+def antisymmetrize(xs, n):
+    """The sum of sgn(sigma) mq_permute(xs, sigma) over sigma in S_n."""
+    return linear_combination(xs.ring, ((parity_sign(p), mq_permute(xs, p))
+                                        for p in permutations(range(1, n + 1))))
+
+
 def _insert_before_first(word, u, new):
     i = word.letters.index(u)
     return Word(word.letters[:i] + (new,) + word.letters[i:], word.n + 1)
@@ -509,15 +516,11 @@ def gerstenhaber_element(name, ring=ZZ):
     if name == "P2":
         return combine(one("12;1(2)", 0), one("3121;3(2,1)", 1))
     if name == "L2":
-        p2 = gerstenhaber_element("P2", ring)
-        return combine(p2, mq_permute(p2, {1: 2, 2: 1}), 1, -1)
+        return antisymmetrize(gerstenhaber_element("P2", ring), 2)
     if name in ("P3'", "P3prime"):
         return combine(one("1232;1(3,2)", 0), one("421232;4(1(3),2)", 1))
     if name == "L3":
-        from itertools import permutations
-        p3 = gerstenhaber_element("P3'", ring)
-        return linear_combination(ring, ((parity_sign(perm), mq_permute(p3, perm))
-                                         for perm in permutations((1, 2, 3))))
+        return antisymmetrize(gerstenhaber_element("P3'", ring), 3)
     if name == "C3":
         return one("41232;4(1(3),2)", 1)
     if name == "D3":

@@ -1,8 +1,13 @@
 import json
+from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from quiltops.cli import main
+from conftest import random_cochain, upper_triangular_to_diagonal
+from quiltops.cli import _dump_cochain, _load_cochain, main
+from quiltops.cochains import Cochain
+from quiltops.rings import GF2, QQ
 
 
 def run(argv, capsys):
@@ -200,6 +205,23 @@ def test_rep_squaring(tmp_path, capsys):
     code, out, _ = run(["rep", "squaring", "--diagram", str(p),
                         "--cochain", str(c)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("ring", [QQ, GF2], ids=["QQ", "GF2"])
+def test_cochain_dump_load_roundtrip(tmp_path, ring):
+    # what rep prints reloads as the same cochain, the zero cochain too
+    dia = upper_triangular_to_diagonal(ring)
+    f = Cochain(dia)
+    for seed, (p, q) in enumerate(((0, 1), (0, 2), (1, 1), (2, 0))):
+        f = f + random_cochain(dia, p, q, seed=seed, density=0.5)
+    f = f.scale(Fraction(-2, 3) if ring == QQ else 1)
+    assert len(f.bidegrees()) == 4
+    path = tmp_path / "cochain.txt"
+    for c in (f, Cochain(dia)):
+        with open(path, "w") as fh, redirect_stdout(fh):
+            _dump_cochain(c)
+        assert _load_cochain(dia, str(path)) == c
+    assert path.read_text() == "0\n"
 
 
 @pytest.mark.parametrize("cochain", [

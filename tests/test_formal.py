@@ -140,3 +140,15 @@ def test_bind_matches_combine_fold():
             got, want = combine(s, t, ca, cb), combine_oracle(s, t, ca, cb)
             assert got == want
             assert list(got.terms) == list(want.terms)
+
+
+
+def test_map_keys_sums_collisions_in_order():
+    # keys collide on their first letter: colliding coefficients add, and a
+    # key whose sum cancels is dropped and comes back last when a later
+    # term gives it a nonzero coefficient again
+    keys = ["b1", "a1", "c1", "a2", "b2", "a3", "c2"]
+    for ring, coeffs, want in ((ZZ, [1, -1, 1, 1, 2, 4, -1], [("b", 3), ("a", 4)]),
+                               (GF2, [1] * 7, [("a", 1)])):
+        s = FormalSum(ring, zip(keys, coeffs))
+        assert list(s.map_keys(lambda k: k[0]).terms.items()) == want, ring

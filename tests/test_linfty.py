@@ -1,13 +1,16 @@
 import itertools
 
+import pytest
+
+from quiltops import linfty, quilts
 from quiltops.formal import FormalSum, combine, linear_combination
 from quiltops.rings import ZZ, QQ, GF2
-from quiltops.linfty import (maximal_quilts, sgn_K, L0, L0_m, L1, L_full, P0,
+from quiltops.linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0,
                              P0_m, P_full, shuffles, linfty_residual_quilt,
                              linfty_residual_mquilt, linfty_residual_coinvariant,
                              linfty_residual_integer_route, coinvariant_reduce)
 from quiltops.quilts import enumerate_quilts, parse_quilt
-from quiltops.mquilt import (from_quilt, m_element, mq_compose, delta_element,
+from quiltops.mquilt import (from_quilt, m_element, mark, mq_compose, delta_element,
                              gerstenhaber_element, mq_permute, boundary_prime)
 
 
@@ -71,7 +74,14 @@ def test_L1_of_1_is_delta():
 
 def _L1_by_composition(n, ring):
     """Oracle for L1: L0 of arity n+1 composed with m at slot 1."""
-    return mq_compose(L0_m(n + 1, ring), 1, m_element(ring))
+    return mq_compose(L0(n + 1, ring).map_keys(from_quilt), 1, m_element(ring))
+
+
+def _L_full_by_marking(n, ring):
+    """Oracle for L_full: every maximal quilt of arity n, plus every one of
+    arity n+1 with slot 1 marked."""
+    return combine(L0(n, ring).map_keys(from_quilt),
+                   mark(L0(n + 1, ring).map_keys(from_quilt), 1))
 
 
 def _P_full_by_composition(n, ring):
@@ -80,11 +90,11 @@ def _P_full_by_composition(n, ring):
 
 
 def test_constants_by_marking_match_composition():
-    # same terms in the same insertion order as composing with m
+    # L1 is antisymmetrized, so it equals composing with m only as a sum;
+    # P_full has the same terms in the same insertion order
     for ring in (ZZ, QQ, GF2):
         for n in range(1, 5):
-            assert (list(L1(n, ring).terms.items())
-                    == list(_L1_by_composition(n, ring).terms.items())), (n, ring)
+            assert L1(n, ring) == _L1_by_composition(n, ring), (n, ring)
         for n in range(2, 5):
             assert (list(P_full(n, ring).terms.items())
                     == list(_P_full_by_composition(n, ring).terms.items())), (n, ring)
@@ -92,7 +102,8 @@ def test_constants_by_marking_match_composition():
 
 def test_L2_vanishes():
     for n in (0, 1, 2):
-        x = mq_compose(mq_compose(L0_m(n + 2), 1, m_element()), 1, m_element())
+        x = mq_compose(mq_compose(L0(n + 2).map_keys(from_quilt), 1, m_element()),
+                       1, m_element())
         assert x.is_zero(), n
 
 
@@ -153,15 +164,41 @@ def test_P3_display():
     assert d["412131;4(2(3),1)[m4]"] == (-1, 1)
 
 
-def test_L_full_antisymmetrizes_P():
-    for n in (2, 3):
-        lhs = L_full(n)
-        rhs = FormalSum(ZZ)
-        from quiltops.formal import combine
-        for p in itertools.permutations(range(1, n + 1)):
-            sigma = {i + 1: p[i] for i in range(n)}
-            rhs = combine(rhs, mq_permute(P_full(n), sigma), 1, sgn_of(p))
-        assert lhs == rhs, n
+def test_L_full_matches_marking_oracle():
+    # L_n = sum of sgn(sigma) P_n.sigma is the sum of all maximal quilts
+    # of arity n plus all of arity n+1 with slot 1 marked
+    for ring in (ZZ, QQ, GF2):
+        for n in range(1, 5):
+            assert L_full(n, ring) == _L_full_by_marking(n, ring), (n, ring)
+
+
+@pytest.mark.deep
+def test_L_full_5_matches_marking_oracle():
+    assert L_full(5) == _L_full_by_marking(5, ZZ)
+
+
+def test_constants_enumerate_first_occurrence_quilts_only(monkeypatch):
+    # L_full(4) and L1(4) read the first-occurrence maximal quilts of
+    # arity 5, never all 3,600 of them
+    calls = []
+
+    def spy(fn):
+        def wrapped(n, degree=None):
+            calls.append((fn.__name__, n, degree))
+            return fn(n, degree)
+        return wrapped
+
+    enumerate_spy = spy(quilts.enumerate_quilts)
+    monkeypatch.setattr(quilts, "enumerate_quilts", enumerate_spy)
+    monkeypatch.setattr(linfty, "enumerate_quilts", enumerate_spy)
+    monkeypatch.setattr(linfty, "first_occurrence_quilts",
+                        spy(quilts.first_occurrence_quilts))
+    linfty.P0_m.cache_clear()
+    linfty.P_full.cache_clear()
+    got = L_full(4), L1(4)
+    assert calls == [("first_occurrence_quilts", 4, 2),
+                     ("first_occurrence_quilts", 5, 3)]
+    assert got == (_L_full_by_marking(4, ZZ), _L1_by_composition(4, ZZ))
 
 
 def test_shuffles():
