@@ -142,7 +142,6 @@ def test_bind_matches_combine_fold():
             assert list(got.terms) == list(want.terms)
 
 
-
 def test_map_keys_sums_collisions_in_order():
     # keys collide on their first letter: colliding coefficients add, and a
     # key whose sum cancels is dropped and comes back last when a later

@@ -334,9 +334,7 @@ def test_normal_forms_match_reduction_oracle():
     for n in (2, 3, 4):
         assert linfty_residual_mquilt(n).is_zero(), n
     # the sizes the memo tables reach from empty: how faces are summed must
-    # not change which keys the normal form visits.  Antisymmetrizing L_n
-    # from P_n visits other keys than marking every maximal quilt of
-    # arity n+1 did, 2,121 instead of 2,024 echelon entries
+    # not change which keys the normal form visits
     assert len(mquilt._ECHELONS) == 2121
     assert len(mquilt._NORMAL_FORMS) == 2103
     assert _families.cache_info().currsize == 2121
