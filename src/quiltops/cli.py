@@ -34,14 +34,14 @@ class Report:
                             "residual": str(residual), "seconds": round(t, 3)})
 
     def run(self, name, fn):
-        t0 = time.time()
+        t0 = time.perf_counter()
         residual = fn()
         if isinstance(residual, bool):
             ok, res = residual, ""
         else:
             ok = getattr(residual, "is_zero", lambda: not residual)()
             res = "" if ok else residual
-        self.add(name, ok, res, time.time() - t0)
+        self.add(name, ok, res, time.perf_counter() - t0)
 
     def emit(self, out=None):
         out = out if out is not None else sys.stdout

@@ -1,3 +1,4 @@
+import itertools
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_cochain, upper_triangular_to_diagonal
+from quiltops import cli
 from quiltops.cli import _dump_cochain, _load_cochain, main
 from quiltops.cochains import Cochain
 from quiltops.rings import GF2, QQ
@@ -128,6 +130,21 @@ def test_verify_linfty_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["failed"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_seconds_ignore_wall_clock_steps(capsys, monkeypatch, fmt):
+    # a wall clock that runs backwards must not give a negative duration
+    clock = itertools.count(1e9, -1.0)
+    monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+    code, out, _ = run(["verify", "gerstenhaber", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        seconds = [c["seconds"] for c in json.loads(out)["checks"]]
+    else:
+        seconds = [float(line.split()[-1].rstrip("s")) for line in out.splitlines()
+                   if line.startswith(("PASS", "FAIL"))]
+    assert len(seconds) == 6 and min(seconds) >= 0
 
 
 def test_verify_linfty_coinvariant(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from quiltops.formal import FormalSum, combine, linear_combination
 from quiltops.rings import ZZ, GF2
 from quiltops.quilts import (parse_quilt, enumerate_quilts, Quilt, check_axioms,
                              QuiltAxiomViolated, column_quilt)
+from quiltops.trees import parity_sign
 from quiltops.words import Word
 from quiltops import mquilt
 from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
@@ -94,6 +96,70 @@ def test_class_words_match_oracle():
                         == _class_words_oracle(q.tree, q.word, mset)), (q, k)
                 cases += 1
     assert cases == 1773
+
+
+def _prenormal_by_permute(quilt, mset):
+    """Oracle for _prenormal: every class word is relabelled into a full
+    Quilt through Quilt.permute, and the smallest by (poskey, sort_key)
+    is kept."""
+    word, tree = quilt.word, quilt.tree
+    for v in mset:
+        if word.count(v) > 1:
+            return None          # R3
+        if len(tree.children[v]) > 2:
+            return None          # R2
+    words = _class_words(tree, word, mset)
+    for w in words:
+        ls = w.letters
+        for i in range(1, len(ls) - 1):
+            if ls[i] in mset and ls[i - 1] == ls[i + 1]:
+                return None      # R4
+    n = quilt.n - len(mset)
+    sorted_marks = sorted(mset)
+    best = None
+    for w in words:
+        pos = {x: i for i, x in enumerate(w.letters)}
+        down = [x for x in w.down_order() if x in mset]
+        poskey = tuple(sorted(pos[v] for v in mset))
+        relabel = {}
+        for i, v in enumerate(sorted(set(range(1, quilt.n + 1)) - mset)):
+            relabel[v] = i + 1
+        for i, v in enumerate(down):
+            relabel[v] = n + 1 + i
+        q2 = Quilt(w, tree).permute({new: old for old, new in relabel.items()})
+        sgn = parity_sign([down.index(v) for v in sorted_marks])
+        cand = (poskey, q2.sort_key())
+        if best is None or cand < best[0]:
+            best = (cand, MQuilt(q2, len(mset)), sgn)
+    return best[1], best[2]
+
+
+def _prenormal_inputs():
+    """Every quilt of arity <= 4 with every mark set of 1-3 labels, then
+    2,000 seeded arity-5 quilts, each with a seeded mark set."""
+    for n in range(1, 5):
+        for q in enumerate_quilts(n):
+            for k in range(1, min(3, n) + 1):
+                for mset in combinations(range(1, n + 1), k):
+                    yield q, frozenset(mset)
+    rng = random.Random(17)
+    for q in rng.sample(enumerate_quilts(5), 2000):
+        yield q, frozenset(rng.sample(range(1, 6), rng.randint(1, 3)))
+
+
+def test_prenormal_matches_permute_oracle():
+    # the same kill, key and sign as building every class word; the input
+    # quilt comes back itself exactly when it is the winner
+    cases = 0
+    for q, mset in _prenormal_inputs():
+        got, want = mquilt._prenormal(q, mset), _prenormal_by_permute(q, mset)
+        cases += 1
+        if want is None:
+            assert got is None, (q, mset)
+            continue
+        assert got == want, (q, mset)
+        assert (got[0].quilt is q) == (want[0].quilt == q), (q, mset)
+    assert cases == 11263 + 2000
 
 
 def test_reposition_classes_normalize_identically():
