@@ -176,9 +176,7 @@ def parse_formal(text, key_parser, ring=ZZ):
             chunk = chunk[1:].strip()
         if "*" in chunk:
             cs, ks = chunk.split("*", 1)
-            coeff = Fraction(cs.strip())
-            if ring == ZZ:
-                coeff = int(coeff)
+            coeff = ring.coerce(Fraction(cs.strip()))
         else:
             ks = chunk
             coeff = 1

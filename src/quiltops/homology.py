@@ -10,7 +10,6 @@ arity 5 never do.  Torsion comes from an integer Smith normal form on the
 small complexes.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .formal import FormalSum
@@ -101,7 +100,7 @@ def sparse_rank(cols, ring=QQ, progress=None):
         if units:
             inv = pv                        # a unit is its own inverse
         else:
-            inv = pow(pv, -1, p) if p else 1 / Fraction(pv)
+            inv = pow(pv, -1, p) if p else QQ.inv(pv)
         for i in col_rows.pop(pj):
             r = rows[i]
             before = len(r)

@@ -282,7 +282,7 @@ def _component_echelon(start):
             if rel.is_zero():
                 continue
             lead = max(rel.terms, key=MQuilt.sort_key)
-            row = rel.scale(1 / rel.terms[lead])
+            row = rel.scale(QQ.inv(rel.terms[lead]))
             for m, r in echelon.items():
                 if lead in r.terms:
                     echelon[m] = combine(r, row, 1, -r.terms[lead])

@@ -2,8 +2,10 @@
 
 Every computation in this package is exact; there is no floating point
 anywhere.  Integer coefficients use Python's arbitrary-precision ints,
-rationals use fractions.Fraction, and prime-field elements are ints
-reduced mod p.  A ring object carries the arithmetic so that elements
+and prime-field elements are ints reduced mod p.  A rational is held as
+an int when it is integral and as a fractions.Fraction only when its
+denominator is a proper one; QQ.coerce refuses floats, and QQ.inv is the
+one division.  A ring object carries the arithmetic so that elements
 themselves can stay plain.
 """
 
@@ -71,19 +73,31 @@ class IntegerRing(Ring):
 
 class RationalRing(Ring):
     name = "Q"
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = 0, 1
 
     def coerce(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is int:
+            return x
+        if not isinstance(x, (int, Fraction)):
+            raise RingError("not a rational: %r" % (x,))
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c.numerator if c.denominator == 1 else c
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c.numerator if c.denominator == 1 else c
 
     def neg(self, a):
         return -a
+
+    def inv(self, a):
+        a = self.coerce(a)
+        if a == 0:
+            raise RingError("inverting 0 in Q")
+        return self.coerce(Fraction(1, a))
 
     def is_zero(self, a):
         return a == 0

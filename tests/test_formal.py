@@ -72,6 +72,20 @@ def test_render_parse_roundtrip():
     assert parse_formal("0", parse_word).is_zero()
 
 
+def test_parse_coefficients_go_through_the_ring():
+    x, y = parse_word("12"), parse_word("121")
+    with pytest.raises(RingError):
+        parse_formal("3/2*12 - 121", parse_word, ZZ)
+    assert parse_formal("4/2*12 - 121", parse_word, ZZ) == FormalSum(ZZ, [(x, 2), (y, -1)])
+    q = parse_formal("3/2*12 - 121", parse_word, QQ)
+    assert q.terms == {x: Fraction(3, 2), y: -1}
+    assert parse_formal(str(q), parse_word, QQ) == q
+    # 3/2 is 3 * 2^-1 = 3 * 3 = 4 in GF(5), and -7 is 3
+    assert parse_formal("3/2*12 - 7*121", parse_word, GF(5)).terms == {x: 4, y: 3}
+    with pytest.raises(RingError):
+        parse_formal("3/5*12", parse_word, GF(5))
+
+
 def test_parse_ring():
     assert parse_ring("Q") == QQ
     assert parse_ring("F2") == GF2

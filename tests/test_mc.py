@@ -1,8 +1,10 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from quiltops.rings import GF2, QQ
+from quiltops.rings import GF2, QQ, Ring
 from quiltops.diagrams import DiagramError, category_two_diagram
 from quiltops.cochains import (Cochain, act, delta_total, mc_residual,
                                deformed_diagram, skew_check, squaring,
@@ -11,7 +13,7 @@ from quiltops.formal import FormalSum
 from quiltops.linfty import P0_m, P_full
 from quiltops.quilts import parse_quilt
 
-from conftest import random_cochain
+from conftest import random_cochain, upper_triangular_to_diagonal
 
 
 def test_zero_solves_mc(cat2_F2):
@@ -105,6 +107,111 @@ def test_cached_constants_are_shared_and_unchanged(cat2_Q, cat2_F2):
         assert list(rebuilt.terms.items()) == list(s.terms.items())
     assert [mc_residual(f) for f in cochains] == residuals
 
+
+class _FractionQQ(Ring):
+    """Oracle for QQ: the rationals with every value a Fraction, as QQ held
+    them before integral values became ints.  Its own name keeps the
+    constants that are cached per ring, such as P_full, apart from QQ's."""
+
+    name = "Q-fraction"
+    zero, one = Fraction(0), Fraction(1)
+
+    def coerce(self, x):
+        return x if type(x) is Fraction else Fraction(x)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a):
+        return a == 0
+
+
+def _basis_change(d, rng):
+    """A seeded rational change of basis P and its inverse Q."""
+    p = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    q = [row[:] for row in p]
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        c = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        for r in range(d):          # P <- P (1 + c E_ij)
+            p[r][j] += c * p[r][i]
+        for t in range(d):          # Q <- (1 - c E_ij) Q
+            q[i][t] -= c * q[j][t]
+    s, c = rng.randrange(d), Fraction(rng.choice((-3, 2)))
+    for r in range(d):              # P <- P D, Q <- D^-1 Q, D scales e_s by c
+        p[r][s] *= c
+        q[s][r] /= c
+    return p, q
+
+
+def _transported_entries(dia, rng):
+    """Entries of (the structure moved along a rational change of basis)
+    minus (the structure); such a cochain solves the Maurer-Cartan equation."""
+    basis = {x: _basis_change(dia.dims[x], rng) for x in dia.category.objects}
+    entries = []
+    for x, (p, q) in basis.items():
+        old, d = dia.mult[x], dia.dims[x]
+        for i, j, k in itertools.product(range(d), repeat=3):
+            new = sum(p[r][i] * p[s][j] * q[k][t] * v for (r, s, t), v in old.items())
+            if new != old.get((i, j, k), 0):
+                entries.append(((0, 2), (x,), (k, i, j), new - old.get((i, j, k), 0)))
+    (px, _), (_, qy) = basis["x"], basis["y"]
+    g = dia.matrix("gamma")
+    for r, c in itertools.product(range(dia.dims["y"]), range(dia.dims["x"])):
+        v = sum(qy[r][s] * w * px[t][c] for (s, t), w in g.items())
+        if v != g.get((r, c), 0):
+            entries.append(((1, 1), ("gamma",), (r, c), v - g.get((r, c), 0)))
+    return entries
+
+
+def _deformation(f):
+    """The twisted structure constants, and whether they form a diagram."""
+    twisted = deformed_diagram(f, validate=False)
+    try:
+        deformed_diagram(f)
+        valid = True
+    except DiagramError:
+        valid = False
+    return ([list(twisted.mult[x].items()) for x in sorted(twisted.mult)],
+            [list(twisted.matrices[m].items()) for m in sorted(twisted.matrices)],
+            valid)
+
+
+def test_mc_matches_fraction_oracle():
+    # QQ holds integral values as ints; the old all-Fraction ring must give
+    # the same residual and deformation, entry by entry in insertion order
+    oracle = _FractionQQ()
+    dias = upper_triangular_to_diagonal(QQ), upper_triangular_to_diagonal(oracle)
+    rng = random.Random(18)
+    solutions = 0
+    for t in range(8):
+        if t % 2 == 0:
+            entries = _transported_entries(dias[0], rng)
+            fs = [Cochain(dia, entries) for dia in dias]
+        else:
+            fs = [random_cochain(dia, 0, 2, seed=5000 + t, density=0.3) +
+                  random_cochain(dia, 1, 1, seed=5100 + t, density=0.3,
+                                 only_nonid=True).scale(Fraction(-1, 2))
+                  for dia in dias]
+        (res, res_oracle), (dfm, dfm_oracle) = ([fn(f) for f in fs]
+                                                for fn in (mc_residual, _deformation))
+        assert list(res.entries()) == list(res_oracle.entries()), t
+        assert dfm == dfm_oracle and dfm[2] == res.is_zero(), t
+        values = [v for *_, v in res.entries()] + [
+            v for part in dfm[:2] for items in part for _, v in items]
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                   for v in values), t
+        assert all(type(v) is Fraction for *_, v in res_oracle.entries()), t
+        solutions += res.is_zero()
+    assert solutions >= 4
+    assert P_full(4, QQ) is not P_full(4, oracle)
+    assert list(P_full(4, QQ).terms.items()) == list(P_full(4, oracle).terms.items())
 
 def _quartic_term_direct(f):
     """Oracle for P4(f,f,f,f): the single surviving maximal quilt, the
