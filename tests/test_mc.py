@@ -199,8 +199,8 @@ def test_mc_matches_fraction_oracle():
                   random_cochain(dia, 1, 1, seed=5100 + t, density=0.3,
                                  only_nonid=True).scale(Fraction(-1, 2))
                   for dia in dias]
-        (res, res_oracle), (dfm, dfm_oracle) = ([fn(f) for f in fs]
-                                                for fn in (mc_residual, _deformation))
+        res, res_oracle = (mc_residual(f) for f in fs)
+        dfm, dfm_oracle = (_deformation(f) for f in fs)
         assert list(res.entries()) == list(res_oracle.entries()), t
         assert dfm == dfm_oracle and dfm[2] == res.is_zero(), t
         values = [v for *_, v in res.entries()] + [
@@ -212,6 +212,7 @@ def test_mc_matches_fraction_oracle():
     assert solutions >= 4
     assert P_full(4, QQ) is not P_full(4, oracle)
     assert list(P_full(4, QQ).terms.items()) == list(P_full(4, oracle).terms.items())
+
 
 def _quartic_term_direct(f):
     """Oracle for P4(f,f,f,f): the single surviving maximal quilt, the

@@ -13,7 +13,8 @@ from quiltops.rings import QQ, RingError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quiltops"
 
-rationals = st.one_of(st.integers(), st.fractions())
+# bools are ints to Python, and QQ must hand them back as plain ints
+rationals = st.one_of(st.integers(), st.fractions(), st.booleans())
 
 
 def _held_exactly(v):
@@ -42,11 +43,6 @@ def test_qq_field_laws(x, y, z):
         assert mul(a, QQ.inv(a)) == 1
         results += [QQ.inv(a), mul(a, QQ.inv(a))]
     assert all(_held_exactly(v) for v in results), results
-
-
-@given(st.booleans())
-def test_qq_coerces_bools_to_ints(x):
-    assert type(QQ.coerce(x)) is int and QQ.coerce(x) == x
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
