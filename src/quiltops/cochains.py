@@ -300,11 +300,15 @@ def enumerate_colorings(quilt, pvec, qvec):
 # ------------------------------------------------------------ evaluation
 
 def _tensor_splice(ring, T, j, S):
-    """Substitute the multilinear map S into input slot j of T."""
+    """Substitute the multilinear map S into input slot j of T; S is grouped
+    by its output index, keeping its order, so the pairs come in T x S order."""
     mul = ring.mul
-    return FormalSum(ring, ((idx[:j] + sidx[1:] + idx[j + 1:], mul(v, w))
+    by_out = {}
+    for sidx, w in S.items():
+        by_out.setdefault(sidx[0], []).append((sidx[1:], w))
+    return FormalSum(ring, ((idx[:j] + rest + idx[j + 1:], mul(v, w))
                             for idx, v in T.items()
-                            for sidx, w in S.items() if sidx[0] == idx[j])).terms
+                            for rest, w in by_out.get(idx[j], ()))).terms
 
 
 def _along(diagram, T, j, f):

@@ -21,13 +21,17 @@ _prenormal ranks the class words by the tuple (mark positions, relabelled
 letters, parent, children) and builds only the smallest; its docstring
 says why the tree is ranked and checked before the input is reused.
 
+Relabelling the unmarked labels costs no sign and commutes with the
+normal form, so the memo tables hold one first-occurrence key per orbit
+and mq_permute only relabels keys (see _prenormal and _canonical).
+
 _normal_sum is the one place raw sums are formed: it takes
 (coefficient, quilt, marks) triples, prenormalizes each quilt with its
 marks (R2-R5), accumulates the signed keys in one FormalSum and reduces
 that sum once against R1.  normalize, mq_compose_basis, mq_boundary,
-mq_permute, ad_delta and mark all hand it their triples.  Every sum the
-module returns is in normal form, and a linear combination of sums in
-normal form stays in normal form, so nothing else reduces.
+ad_delta and mark all hand it their triples.  Every sum the module
+returns is in normal form, and a linear combination of sums in normal
+form stays in normal form, so nothing else reduces.
 
 Composing with m is marking a slot.  The quilt of m is the identity
 quilt of arity 1 with its label marked, so by the unit law x o_a m is
@@ -161,12 +165,14 @@ def _prenormal(quilt, mset):
     """Kills plus the orbit-canonical representative.
 
     Returns None when the element is zero by R2, R3 or R4, otherwise
-    (key, sign): the class member whose marked letters sit at the
-    earliest positions (relabelled so the marks are the top labels in
-    first-occurrence order), and the sign of the mark permutation.
+    (key, sign): the class member whose marked letters sit at the earliest
+    positions (relabelled so the unmarked labels keep their order and the
+    marks are the top labels in first-occurrence order), and its sign.
 
     Only the smallest class word by (mark positions, relabelled letters,
-    parent, children) is built.  The tree breaks ties on the letters (in
+    parent, children) is built, with the unmarked labels named in order of
+    first occurrence (the same in every class word) so that the winner
+    commutes with relabelling them.  The tree breaks ties on the letters (in
     1,464 of the 11,263 quilts of arity <= 4 with 1-3 marks; 684 would
     change winner), and the input quilt is reused only if its tree comes
     back too: equal letters alone keep a wrong tree 113 times there.
@@ -183,20 +189,26 @@ def _prenormal(quilt, mset):
         for i in range(1, len(ls) - 1):
             if ls[i] in mset and ls[i - 1] == ls[i + 1]:
                 return None      # R4
-    N = quilt.n
+    N, top = quilt.n, quilt.n - len(mset)
+    unmarked = [x for x in word.down_order() if x not in mset]
     new = [0] * (N + 1)
-    for i, v in enumerate(sorted(set(range(1, N + 1)) - mset)):
+    for i, v in enumerate(unmarked):
         new[v] = i + 1
     best = None
     for w in words:
         down = [x for x in w.letters if x in mset]
         for i, v in enumerate(down):
-            new[v] = N - len(mset) + 1 + i
+            new[v] = top + 1 + i
         rank = ((tuple(i for i, x in enumerate(w.letters) if x in mset),
                  tuple(new[x] for x in w.letters)) + tree.relabelled(new))
         if best is None or rank < best[0]:
-            best = (rank, down)
-    (_, letters, parent, children), down = best
+            best = (rank, down, w)
+    (_, letters, parent, children), down, w = best
+    order = sorted(unmarked)
+    if unmarked != order:        # the winner, unmarked labels kept in order
+        for i, v in enumerate(order + down):
+            new[v] = i + 1
+        letters, (parent, children) = tuple(new[x] for x in w.letters), tree.relabelled(new)
     if (N, parent, children) != tree.key():
         tree = Tree(parent, children)
     if tree is not quilt.tree or letters != word.letters:
@@ -262,9 +274,9 @@ _NORMAL_FORMS = {}
 
 def _component_echelon(start):
     """The fully reduced echelon of the redistribution relations on the
-    component of a key: leader -> row over QQ with leader coefficient one
-    and no other leader in it.  Every member of the component shares the
-    echelon, so it is computed once."""
+    component of a first-occurrence key, shared by its members, which are all
+    first-occurrence (R1 changes only the tree, R5 moves only marked letters):
+    leader -> row over QQ with leader coefficient one and no other leader."""
     if start in _ECHELONS:
         return _ECHELONS[start]
     seen = {start}
@@ -292,13 +304,42 @@ def _component_echelon(start):
     return echelon
 
 
+def _relabel(key, new):
+    """key with every label u renamed new[u], through the validating constructors."""
+    q = key.quilt
+    return MQuilt(Quilt(q.word.relabel(new), Tree(*q.tree.relabelled(new))), key.marks)
+
+
+def _canonical(key):
+    """(canon, to, back): canon is key() of key with its unmarked labels
+    renamed 1, 2, ..., a in order of first occurrence, to[label] that
+    renaming and back its inverse (both None if key is first-occurrence)."""
+    q, a = key.quilt, key.arity
+    down = [x for x in dict.fromkeys(q.word.letters) if x <= a]
+    if down == list(range(1, a + 1)):
+        return key.key(), None, None
+    back = [0] + down + list(range(a + 1, q.n + 1))
+    to = sorted(range(len(back)), key=back.__getitem__)
+    return (((q.n, tuple(to[x] for x in q.word.letters)), (q.n,) + q.tree.relabelled(to)),
+            key.marks), to, back
+
+
 def _normal_form_of_key(key):
-    """The normal form of one basis key, as {basis key: coefficient}."""
-    if key not in _NORMAL_FORMS:
-        row = _component_echelon(key).get(key)
-        _NORMAL_FORMS[key] = {key: 1} if row is None else {
-            m: -c for m, c in row.terms.items() if m != key}
-    return _NORMAL_FORMS[key]
+    """The normal form of one basis key, as {basis key: coefficient}.  Only
+    first-occurrence keys are stored, by key(); any other key gets the normal
+    form of its canonical tuple relabelled back, or {key: 1} if it is its own."""
+    canon, to, back = _canonical(key)
+    nf = _NORMAL_FORMS.get(canon)
+    if nf is None:
+        ckey = key if to is None else _relabel(key, to)
+        row = _component_echelon(ckey).get(ckey)
+        nf = _NORMAL_FORMS[canon] = {ckey: 1} if row is None else {
+            m: -c for m, c in row.terms.items() if m != ckey}
+    if back is None:
+        return nf
+    if len(nf) == 1 and next(iter(nf)).key() == canon:
+        return {key: 1}
+    return {_relabel(m, back): c for m, c in nf.items()}
 
 
 def _reduce(sum_):
@@ -393,18 +434,11 @@ def mq_boundary(xs):
 
 
 def mq_permute(xs, sigma):
-    """Right action of a permutation of the unmarked slots."""
-    def triples():
-        for x, c in xs.terms.items():
-            full = dict(sigma) if isinstance(sigma, dict) else {
-                i + 1: v for i, v in enumerate(sigma)}
-            for v in range(1, x.arity + 1):
-                full.setdefault(v, v)
-            for v in x.marked():
-                full[v] = v
-            yield c, x.quilt.permute(full), x.marked()
-
-    return _normal_sum(xs.ring, triples())
+    """Right action of a permutation of the unmarked slots (label u becomes
+    sigma^{-1}(u)): on a sum in normal form, a relabelling of its keys."""
+    pairs = sigma.items() if isinstance(sigma, dict) else enumerate(sigma, 1)
+    inv = {su: u for u, su in pairs}
+    return xs.map_keys(lambda x: _relabel(x, [inv.get(v, v) for v in range(x.quilt.n + 1)]))
 
 
 def antisymmetrize(xs, n):

@@ -128,7 +128,9 @@ class PrimeField(Ring):
             if x.denominator % self.p == 0:
                 raise RingError("denominator divisible by %d" % self.p)
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        if not isinstance(x, int):
+            raise RingError("not an element of F%d: %r" % (self.p, x))
+        return x % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -1,8 +1,7 @@
 """Acceptance suite: one check per criterion, timed against its budget.
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
-criterion; the arity-5 marked L-infinity relation lives behind the `deep`
-marker.
+criterion, the arity-5 marked L-infinity relation included.
 """
 
 import math
@@ -169,11 +168,10 @@ def test_criterion_7_linfty():
     report("7 L-infinity relations", t0, 30)
 
 
-@pytest.mark.deep
 def test_criterion_7_deep_mquilt_arity5():
     t0 = time.time()
     assert linfty_residual_mquilt(5).is_zero()
-    print("PASS  7d mquilt L-infinity n=5 %.1fs" % (time.time() - t0))
+    report("7d mquilt L-infinity n=5", t0, 40)
 
 
 def test_criterion_8_representation_laws():

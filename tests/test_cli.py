@@ -155,12 +155,22 @@ def test_verify_linfty_coinvariant(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--max-arity", "1"], "leaves nothing to check"),
-    (["--max-arity", "5", "--target", "mquilt"], "needs --deep"),
-], ids=["no-relation", "mquilt-arity5-without-deep"])
+    (["--max-arity", "6", "--target", "mquilt"], "needs --deep"),
+], ids=["no-relation", "mquilt-arity6-without-deep"])
 def test_verify_linfty_refuses_empty_or_partial_suite(capsys, argv, message):
     code, out, err = run(["verify", "linfty"] + argv, capsys)
     assert code == 2
     assert out == "" and message in err and len(err.splitlines()) == 1
+
+
+def test_verify_linfty_mquilt_arity5_without_deep(capsys):
+    # the arity-5 marked relation and its integer route run by default
+    code, out, err = run(["verify", "linfty", "--max-arity", "5", "--target", "mquilt",
+                          "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["check"] for c in checks[-2:]] == ["mquilt relation n=5", "integer route n=5"]
+    assert all(c["status"] == "PASS" and c["residual"] == "" for c in checks)
 
 
 def test_render_text_and_svg(capsys):

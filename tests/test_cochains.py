@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiltops
+from quiltops import cochains
 from quiltops.rings import QQ, GF, GF2
 from quiltops.formal import FormalSum
 from quiltops.quilts import enumerate_quilts, parse_quilt, identity_quilt
@@ -529,6 +530,35 @@ def contraction_cases(draw):
         pre=draw(sparse_tensors(ring, (d,) * j + (dy,) + (d,) * (q - j))),
         T=draw(sparse_tensors(ring, (d,) * (q + 1))),
         S=draw(sparse_tensors(ring, (d,) * draw(st.integers(1, 3)))))
+
+
+def _tensor_splice_all_pairs(ring, T, j, S):
+    """The former body of _tensor_splice: every entry of T is compared with
+    every entry of S."""
+    mul = ring.mul
+    return FormalSum(ring, ((idx[:j] + sidx[1:] + idx[j + 1:], mul(v, w))
+                            for idx, v in T.items()
+                            for sidx, w in S.items() if sidx[0] == idx[j])).terms
+
+
+def test_tensor_splice_matches_all_pairs_on_mc_inputs(monkeypatch):
+    # the same entries in the same insertion order on every splice that
+    # mc_residual makes for the benchmark's Maurer-Cartan cochains
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    from workloads import mc_inputs
+    splice, calls = cochains._tensor_splice, [0]
+
+    def compared(ring, T, j, S):
+        got = splice(ring, T, j, S)
+        assert list(got.items()) == list(_tensor_splice_all_pairs(ring, T, j, S).items())
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(cochains, "_tensor_splice", compared)
+    for seed in (1, 2, 3):
+        for f, _ in mc_inputs(seed):
+            cochains.mc_residual(f)
+    assert calls[0] == 494
 
 
 @settings(max_examples=300, deadline=None)

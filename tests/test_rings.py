@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiltops.rings import QQ, RingError
+from quiltops.formal import FormalSum
+from quiltops.rings import GF, QQ, RingError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quiltops"
 
@@ -49,6 +50,21 @@ def test_qq_field_laws(x, y, z):
 def test_qq_coerce_refuses_non_rationals(bad):
     with pytest.raises(RingError):
         QQ.coerce(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.5, 1.0, "1/2", "3", None])
+def test_prime_field_coerce_refuses_non_integers(bad):
+    # GF(5).coerce(0.5) was 0: int() truncated it
+    with pytest.raises(RingError):
+        GF(5).coerce(bad)
+
+
+def test_prime_field_takes_ints_and_fractions():
+    F5 = GF(5)
+    assert (F5.coerce(7), F5.coerce(-1), F5.coerce(Fraction(3, 2))) == (2, 4, 4)
+    with pytest.raises(RingError):
+        FormalSum(F5, [("x", 2.5)])
+    assert FormalSum(F5, [("x", Fraction(5, 2))]).terms == {}
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), False])
