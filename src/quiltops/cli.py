@@ -45,12 +45,10 @@ class Report:
 
     def emit(self, out=None):
         out = out if out is not None else sys.stdout
-        ok = all(c["status"] == "PASS" for c in self.checks)
+        passed = sum(c["status"] == "PASS" for c in self.checks)
         if self.fmt == "json":
-            json.dump({"suite": self.suite, "checks": self.checks,
-                       "passed": sum(c["status"] == "PASS" for c in self.checks),
-                       "failed": sum(c["status"] == "FAIL" for c in self.checks)},
-                      out, indent=2)
+            json.dump({"suite": self.suite, "checks": self.checks, "passed": passed,
+                       "failed": len(self.checks) - passed}, out, indent=2)
             out.write("\n")
         else:
             for c in self.checks:
@@ -58,10 +56,8 @@ class Report:
                 if c["residual"]:
                     line += "  residual: %s" % c["residual"]
                 out.write(line + "\n")
-            out.write("%s: %d/%d checks passed\n"
-                      % (self.suite, sum(c["status"] == "PASS" for c in self.checks),
-                         len(self.checks)))
-        return 0 if ok else 1
+            out.write("%s: %d/%d checks passed\n" % (self.suite, passed, len(self.checks)))
+        return 0 if passed == len(self.checks) else 1
 
 
 def _fail(command, error):
@@ -176,19 +172,14 @@ def _verify_linfty(args):
     if args.target == "mquilt" and top >= 6 and not args.deep:
         print("mquilt relation at arity %d needs --deep" % top, file=sys.stderr)
         return 2
+    checks = {"quilt": [("quilt relation", linfty_residual_quilt)],
+              "mquilt": [("mquilt relation", linfty_residual_mquilt),
+                         ("integer route", linfty_residual_integer_route)],
+              "coinvariant": [("coinvariant relation", linfty_residual_coinvariant)]}
     rep = Report("linfty", args.format)
     for n in range(2, top + 1):
-        if args.target == "quilt":
-            rep.run("quilt relation n=%d" % n,
-                    lambda n=n: linfty_residual_quilt(n))
-        elif args.target == "mquilt":
-            rep.run("mquilt relation n=%d" % n,
-                    lambda n=n: linfty_residual_mquilt(n))
-            rep.run("integer route n=%d" % n,
-                    lambda n=n: linfty_residual_integer_route(n))
-        else:
-            rep.run("coinvariant relation n=%d" % n,
-                    lambda n=n: linfty_residual_coinvariant(n))
+        for name, residual in checks[args.target]:
+            rep.run("%s n=%d" % (name, n), lambda n=n, residual=residual: residual(n))
     return rep.emit()
 
 

@@ -10,7 +10,7 @@ version, and passing to coinvariants gives the unsymmetrized version.
 The marked constants are L_n = sum over sigma in S_n of sgn(sigma)
 P_full(n).sigma, which reads 336 maximal quilts of arity 6 at n = 5, not
 241,920.  L0 keeps maximal_quilts: antisymmetrizing P0(5) by Quilt.permute
-takes 0.09 s, its enumeration 0.04 s (2-core x86, Python 3.11).  L1(1) is
+takes 0.13 s, its enumeration 0.05 s (2-core x86, Python 3.11).  L1(1) is
 Delta: over S_1 the antisymmetrization is only 21;2(1)[m2].
 """
 
@@ -20,10 +20,10 @@ from itertools import combinations
 from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
 from .trees import parity_sign
-from .quilts import enumerate_quilts, first_occurrence_quilts
+from .quilts import Quilt, enumerate_quilts, first_occurrence_quilts
 from .extensions import boundary_sum, compose_sums
-from .mquilt import (MQuilt, antisymmetrize, delta_element, from_quilt, mark,
-                     mq_compose, mq_permute, boundary_prime)
+from .mquilt import (MQuilt, _relabel, antisymmetrize, delta_element, from_quilt,
+                     mark, mq_compose, boundary_prime)
 
 
 def maximal_quilts(n):
@@ -98,42 +98,38 @@ def L_full(n, ring=ZZ):
 
 
 def shuffles(p, q):
-    """All (p, q)-shuffles of p+q letters, as permutation dicts with signs.
-
-    sigma is increasing on 1..p and on p+1..p+q; the sign is the parity
-    of the number of inversions.
-    """
+    """The (p, q)-shuffles sigma of p+q letters, increasing on 1..p and on
+    p+1..p+q, each as the label array (0, sigma(1), ..., sigma(p+q)) that
+    Word.relabel takes, with its sign (the parity of its inversions)."""
     n = p + q
-    out = []
     for first_block in combinations(range(1, n + 1), p):
         image = first_block + tuple(x for x in range(1, n + 1) if x not in first_block)
-        out.append((dict(enumerate(image, 1)), parity_sign(image)))
-    return out
+        yield (0,) + image, parity_sign(image)
 
 
-def _perm_inverse(sigma):
-    return {v: k for k, v in sigma.items()}
-
-
-def _shuffled(base, p, q, permute):
-    """The (c, term) pairs sgn_pq * sign * permute(base, inverse shuffle)
-    over the (p-1, q)-shuffles."""
+def _shuffled(base, p, q, relabel):
+    """The (c, term) pairs sgn_pq * sign * base relabelled over the
+    (p-1, q)-shuffles, each key x by relabel(x, new): label u becomes sigma(u)."""
     sgn_pq = -1 if ((p - 1) * q) % 2 else 1
-    for sigma, sg in shuffles(p - 1, q):
-        yield sgn_pq * sg, permute(base, _perm_inverse(sigma))
+    for new, sg in shuffles(p - 1, q):
+        yield sgn_pq * sg, base.map_keys(lambda x: relabel(x, new))
+
+
+def _relabel_marked(x, new):
+    """x with its unmarked labels renamed by new; its marks keep theirs."""
+    return _relabel(x, new + tuple(range(len(new), x.quilt.n + 1)))
 
 
 def linfty_residual_quilt(n, ring=ZZ):
     """d L0_n + sum over p+q=n+1 and shuffles of the signed compositions,
-    relabelled by the inverse shuffle; zero by the structure theorem."""
+    relabelled by the shuffle; zero by the structure theorem."""
     def terms():
         if n >= 2:
             yield 1, boundary_sum(L0(n, ring))
         for p in range(2, n):
             q = n + 1 - p
             base = compose_sums(L0(p, ring), p, L0(q, ring))
-            yield from _shuffled(base, p, q,
-                                 lambda s, inv: s.map_keys(lambda x: x.permute(inv)))
+            yield from _shuffled(base, p, q, Quilt.relabel)
     return linear_combination(ring, terms())
 
 
@@ -144,20 +140,29 @@ def linfty_residual_mquilt(n, ring=ZZ):
         for p in range(2, n):
             q = n + 1 - p
             base = mq_compose(L_full(p, ring), p, L_full(q, ring))
-            yield from _shuffled(base, p, q, mq_permute)
+            yield from _shuffled(base, p, q, _relabel_marked)
     return linear_combination(ring, terms())
+
+
+def _delta_L1(n, ring=ZZ):
+    """mq_compose(L1(1), 1, L1(n)) for n >= 2 from L1(n)'s first-occurrence
+    part: composing into Delta's one slot commutes with relabelling inside."""
+    return antisymmetrize(mq_compose(delta_element(ring), 1, mark(P0_m(n + 1, ring), 1)), n)
 
 
 def linfty_residual_integer_route(n, ring=ZZ):
     """The characteristic-free cross-check: the marked-marked compositions
     sum to zero on the nose, without dividing by two.  Unlike the main
     relation, arity-one factors (where L1_1 is the Delta element)
-    participate here."""
+    participate here; the p = 1 term is _delta_L1."""
     def terms():
         for p in range(1, n + 1):
             q = n + 1 - p
-            base = mq_compose(L1(p, ring), p, L1(q, ring))
-            yield from _shuffled(base, p, q, mq_permute)
+            if p == 1 and n > 1:
+                yield 1, _delta_L1(n, ring)
+            else:
+                yield from _shuffled(mq_compose(L1(p, ring), p, L1(q, ring)), p, q,
+                                     _relabel_marked)
     return linear_combination(ring, terms())
 
 

@@ -306,8 +306,7 @@ def _component_echelon(start):
 
 def _relabel(key, new):
     """key with every label u renamed new[u], through the validating constructors."""
-    q = key.quilt
-    return MQuilt(Quilt(q.word.relabel(new), Tree(*q.tree.relabelled(new))), key.marks)
+    return MQuilt(key.quilt.relabel(new), key.marks)
 
 
 def _canonical(key):

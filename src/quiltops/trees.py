@@ -107,7 +107,7 @@ class Tree:
         return self._key
 
     def sort_key(self):
-        return (self.n, self.parent, self.children)
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, Tree) and self._key == other._key
@@ -187,13 +187,9 @@ class Tree:
 
 
 def _invert(sigma, n):
-    """Inverse of a permutation given as dict/tuple/list on {1..n}."""
-    if isinstance(sigma, dict):
-        pairs = sigma.items()
-    else:
-        pairs = enumerate(sigma, 1) if len(sigma) == n else list(sigma.items())
+    """Inverse of a permutation of {1..n}, a dict or in one-line form."""
     inv = [0] * (n + 1)
-    for u, su in pairs:
+    for u, su in (sigma.items() if isinstance(sigma, dict) else enumerate(sigma, 1)):
         inv[su] = u
     return inv
 

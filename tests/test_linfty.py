@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from quiltops import linfty, quilts
+from quiltops.extensions import compose_sums
 from quiltops.formal import FormalSum, combine, linear_combination
 from quiltops.rings import ZZ, QQ, GF2
 from quiltops.linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0,
                              P0_m, P_full, shuffles, linfty_residual_quilt,
                              linfty_residual_mquilt, linfty_residual_coinvariant,
                              linfty_residual_integer_route, coinvariant_reduce)
-from quiltops.quilts import enumerate_quilts, parse_quilt
+from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt
 from quiltops.mquilt import (from_quilt, m_element, mark, mq_compose, delta_element,
                              gerstenhaber_element, mq_permute, boundary_prime)
 
@@ -202,9 +203,54 @@ def test_constants_enumerate_first_occurrence_quilts_only(monkeypatch):
 
 
 def test_shuffles():
-    sh = shuffles(1, 2)
-    assert len(sh) == 3
+    assert [new for new, _ in shuffles(1, 2)] == [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
     assert sorted(s for _, s in shuffles(2, 2)) == [-1, -1, 1, 1, 1, 1]
+
+
+def _shuffled_by_inverse(base, p, q, permute):
+    """Oracle for linfty._shuffled: each shuffle as a dict, inverted, and
+    handed to a right action that inverts it back."""
+    sgn_pq = -1 if ((p - 1) * q) % 2 else 1
+    n = p - 1 + q
+    for first in itertools.combinations(range(1, n + 1), p - 1):
+        image = first + tuple(x for x in range(1, n + 1) if x not in first)
+        inverse = {v: k for k, v in enumerate(image, 1)}
+        yield sgn_pq * sgn_of(image), permute(base, inverse)
+
+
+def test_shuffled_matches_inverse_permutation_oracle():
+    # the same terms in the same insertion order as relabelling through
+    # the inverse shuffle, for both residuals' compositions up to arity 4
+    def quilt_permute(s, inv):
+        return s.map_keys(lambda x: x.permute(inv))
+
+    for n in range(2, 5):
+        for p in range(2, n):
+            q = n + 1 - p
+            for base, relabel, permute in (
+                    (compose_sums(L0(p), p, L0(q)), Quilt.relabel, quilt_permute),
+                    (mq_compose(L_full(p), p, L_full(q)), linfty._relabel_marked, mq_permute),
+                    (mq_compose(L1(p), p, L1(q)), linfty._relabel_marked, mq_permute)):
+                got = [(c, list(t.terms.items()))
+                       for c, t in linfty._shuffled(base, p, q, relabel)]
+                want = [(c, list(t.terms.items()))
+                        for c, t in _shuffled_by_inverse(base, p, q, permute)]
+                assert got == want, (n, p)
+
+
+def _delta_L1_by_composition(n, ring=ZZ):
+    """Oracle for _delta_L1: Delta composed with every term of L1(n)."""
+    return mq_compose(L1(1, ring), 1, L1(n, ring))
+
+
+def test_delta_L1_matches_direct_composition():
+    for n in range(2, 5):
+        assert linfty._delta_L1(n) == _delta_L1_by_composition(n), n
+
+
+@pytest.mark.deep
+def test_delta_L1_5_matches_direct_composition():
+    assert linfty._delta_L1(5) == _delta_L1_by_composition(5)
 
 
 def test_residual_quilt():

@@ -1,13 +1,15 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiltops import quilts
 from quiltops.quilts import (Quilt, QuiltAxiomViolated, validate_quilt,
                              parse_quilt, enumerate_quilts, compatible_trees,
                              check_axioms, identity_quilt)
-from quiltops.words import enumerate_words
+from quiltops.words import Word, enumerate_words
 from quiltops.trees import Tree, enumerate_trees
 
 
@@ -134,6 +136,37 @@ def test_enumeration_matches_word_oracle():
         assert enumerate_quilts(n) == every
         for d in range(-1, n):
             assert enumerate_quilts(n, d) == [q for q in every if q.degree == d], (n, d)
+
+
+def test_enumeration_peak_memory_near_its_result():
+    # built in order, with no sort keys and no key tuple per quilt, the
+    # call peaks near what its result holds (1.87 times with the old sort)
+    quilts._shared_tree.cache_clear()
+    tracemalloc.start()
+    try:
+        out = enumerate_quilts(5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 53040
+    assert peak <= 1.25 * held, (peak, held)
+
+
+def test_quilt_key_eq_and_hash_match_their_tuple_definitions():
+    qs = _SMALL_QUILTS
+    for q in qs:
+        assert q.key() == (q.word.key(), q.tree.key())
+        assert hash(q) == hash((q.word._key, q.tree._hash))
+        copy = Quilt(Word(q.word.letters, q.n), Tree(q.tree.parent, q.tree.children))
+        assert copy == q and hash(copy) == hash(q)
+    for q, r in itertools.product(qs, repeat=2):
+        assert (q == r) == (q.key() == r.key())
+    assert q != q.word and q != q.key()
+
+
+def test_quilt_keeps_no_key_slot():
+    assert Quilt.__slots__ == ("word", "tree")
+    assert not hasattr(identity_quilt(), "_key")
 
 
 def _assert_trees_relabel(word, p):

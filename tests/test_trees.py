@@ -129,6 +129,14 @@ def test_enumeration_counts():
         assert len(set(trees)) == len(trees)
 
 
+def test_sort_key_is_the_stored_key():
+    # sorting by tree allocates nothing: the sort key is the key tuple itself
+    for n in range(1, 6):
+        for t in enumerate_trees(n):
+            assert t.sort_key() == (t.n, t.parent, t.children)
+            assert t.sort_key() is t.key()
+
+
 def test_permutation_action():
     random.seed(0)
     trees = enumerate_trees(4)
