@@ -13,10 +13,22 @@ positions in the inner word; tree extensions from weakly increasing maps
 sending the children of a to corners of the inner tree.  The exponential
 filter over all candidates survives only in the test oracles.
 
-A face deletes one occurrence of a repeated vertex.  A face of a quilt is a
-quilt on its tree: deleting a letter keeps every condition (in u x u, x
-repeats only by interlacing).  No letter repeats consecutively, so the faces
-of a word are distinct.  boundary_sum builds only the faces that survive.
+A face deletes one occurrence, at position i, of a vertex u that occurs
+more than once.  Face lemma: a face of a valid word is a valid word, and
+with the same tree a face of a quilt is a quilt.
+  - Surjective: u still occurs, and no other letter is deleted.
+  - No interlacing: the face is a subsequence of the word, so any
+    u...v...u...v in the face is one in the word.
+  - Quilt axioms: a pair with u before v, or with v between two u's, in
+    the face is one in the word, so a witness in the face is one there.
+  - No consecutive repeat: the one new adjacency is that of the letters
+    around i.  Were both x, the word would hold x u x with u again
+    outside, so u x u x or x u x u: interlacing.
+The last is the one condition a subsequence does not inherit, and _deleted
+checks it in O(1).  _built then makes the face with the unchecked
+constructors Word._unchecked and Quilt._unchecked, referenced nowhere else
+in the package.  No letter repeats consecutively, so the faces of a word
+are distinct.  boundary_sum builds only the faces that survive.
 """
 
 from itertools import combinations_with_replacement
@@ -24,7 +36,7 @@ from itertools import combinations_with_replacement
 from .formal import FormalSum, linear_combination
 from .rings import ZZ
 from .trees import Tree, parity_sign
-from .words import Word
+from .words import Word, WordInvalid
 from .quilts import Quilt
 
 
@@ -35,8 +47,9 @@ def face(x, i):
     word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
     if not (0 <= i < len(word)):
         raise IndexError("occurrence %d out of range" % i)
-    f = word.letters[:i] + word.letters[i + 1:]
-    return _built(f, tree) if word.count(word.letters[i]) > 1 else None
+    if word.count(word.letters[i]) < 2:
+        return None
+    return _built(_deleted(word.letters, i), tree)
 
 
 def face_signs(letters):
@@ -60,14 +73,23 @@ def face_signs(letters):
     return out
 
 
+def _deleted(letters, i):
+    """letters without position i, whose letters on either side differ."""
+    if 0 < i < len(letters) - 1 and letters[i - 1] == letters[i + 1]:
+        raise WordInvalid("deleting position %d of %r repeats a letter" % (i, letters))
+    return letters[:i] + letters[i + 1:]
+
+
 def _faces(letters):
     """(face letters, sign) for every (i, sign) of face_signs."""
-    return [(letters[:i] + letters[i + 1:], s) for i, s in face_signs(letters)]
+    return [(_deleted(letters, i), s) for i, s in face_signs(letters)]
 
 
 def _built(letters, tree):
-    """The face with these letters: a word, or with a tree a quilt."""
-    return Word(letters) if tree is None else Quilt(Word(letters, tree.n), tree)
+    """A face from _deleted, a word or with a tree a quilt, by the face lemma."""
+    if tree is None:
+        return Word._unchecked(letters, max(letters))
+    return Quilt._unchecked(Word._unchecked(letters, tree.n), tree)
 
 
 def boundary(x):

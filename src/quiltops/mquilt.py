@@ -426,7 +426,8 @@ def delta_element(ring=ZZ):
 
 
 def mq_boundary(xs):
-    """The word boundary, extended by zero on the marks."""
+    """The word boundary, extended by zero on the marks; the faces are
+    built by the face lemma (extensions), not revalidated."""
     return _normal_sum(xs.ring, ((c * s, _built(f, x.quilt.tree), x.marked())
                                  for x, c in xs.terms.items()
                                  for f, s in _faces(x.quilt.word.letters)))

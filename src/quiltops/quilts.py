@@ -12,6 +12,7 @@ Every Quilt validates itself when built, after its Word and Tree have,
 each in linear time: check_axioms makes one pass over the word and one
 over the edges for axiom (1), and for axiom (2) walks the letters between
 the first and last occurrence of each vertex (at most n times the length).
+A face alone is built through _unchecked, by the face lemma in extensions.
 
 Both axioms are invariant under renaming the vertices, so each quilt is
 the relabelling, by its word's down-order, of exactly one quilt whose word
@@ -47,6 +48,13 @@ class Quilt:
         check_axioms(word, tree)
         self.word = word
         self.tree = tree
+
+    @classmethod
+    def _unchecked(cls, word, tree):
+        """A quilt already known to be valid: a face (see extensions)."""
+        self = object.__new__(cls)
+        self.word, self.tree = word, tree
+        return self
 
     @property
     def n(self):

@@ -77,28 +77,6 @@ class Tree:
         self._key = (n, parent, children)
         self._hash = hash(self._key)
 
-    @classmethod
-    def from_parent(cls, parent_map, child_order=None, n=None):
-        """Build from {vertex: parent} (root maps to 0 or is absent) and an
-        optional {vertex: ordered children}; missing orders sort by label."""
-        if n is None:
-            n = max(parent_map) if parent_map else 1
-        parent = [0] * (n + 1)
-        for v in range(1, n + 1):
-            parent[v] = parent_map.get(v, 0)
-        kids = [[] for _ in range(n + 1)]
-        if child_order:
-            for u, cs in child_order.items():
-                kids[u] = list(cs)
-        for v in range(1, n + 1):
-            p = parent[v]
-            if p and v not in kids[p]:
-                kids[p].append(v)
-        for u in range(n + 1):
-            if not child_order or u not in child_order:
-                kids[u].sort()
-        return cls(tuple(parent), tuple(tuple(c) for c in kids))
-
     @property
     def root(self):
         return self._root
@@ -158,11 +136,6 @@ class Tree:
         walk(self._root)
         return tuple(out)
 
-    def permute(self, sigma):
-        """Replace every vertex u by sigma^{-1}(u); sigma is a dict or tuple
-        on {1..n} and this is a right group action."""
-        return Tree(*self.relabelled(_invert(sigma, self.n)))
-
     def relabelled(self, new):
         """The (parent, children) tuples of this tree with every vertex u
         renamed new[u]; new is indexed by label, new[0] unused."""
@@ -209,6 +182,7 @@ def parse_tree(text):
     """Parse the nested form "1(3,2)" meaning root 1 with children 3, 2."""
     text = text.strip()
     pos = [0]
+    labels = []
 
     def parse_node():
         start = pos[0]
@@ -217,6 +191,7 @@ def parse_tree(text):
         if pos[0] == start:
             raise TreeInvalid("expected vertex label at %d in %r" % (start, text))
         label = int(text[start:pos[0]])
+        labels.append(label)
         kids = []
         if pos[0] < len(text) and text[pos[0]] == "(":
             pos[0] += 1
@@ -236,22 +211,10 @@ def parse_tree(text):
     top = parse_node()
     if pos[0] != len(text):
         raise TreeInvalid("trailing input in %r" % text)
-    parent = {}
-    order = {}
-
-    def collect(node):
-        label, kids = node
-        order[label] = [k[0] for k in kids]
-        for k in kids:
-            parent[k[0]] = label
-            collect(k)
-
-    collect(top)
-    parent[top[0]] = 0
-    n = len(parent)
-    if sorted(parent) != list(range(1, n + 1)):
+    n = len(labels)
+    if sorted(labels) != list(range(1, n + 1)):
         raise TreeInvalid("vertex labels must be 1..n in %r" % text)
-    return Tree.from_parent(parent, order, n=n)
+    return _from_nested(top, n)
 
 
 @lru_cache(maxsize=None)
@@ -284,12 +247,18 @@ def _trees_on(vertices):
     return tuple(out)
 
 
-def _materialize(node, parent, order, par_label):
-    root, kids = node
-    parent[root] = par_label
-    order[root] = [k[0] for k in kids]
-    for k in kids:
-        _materialize(k, parent, order, root)
+def _from_nested(node, n):
+    """The tree of a nested (root, (subtree, ...)) node on the labels 1..n."""
+    parent, children = [0] * (n + 1), [()] * (n + 1)
+
+    def walk(node, up):
+        root, kids = node
+        parent[root], children[root] = up, tuple(k[0] for k in kids)
+        for k in kids:
+            walk(k, root)
+
+    walk(node, 0)
+    return Tree(parent, children)
 
 
 def enumerate_trees(n):
@@ -297,10 +266,6 @@ def enumerate_trees(n):
     There are n! * Catalan(n-1) of them."""
     if n < 1:
         raise ValueError("arity must be at least 1, got %d" % n)
-    trees = []
-    for shape in _trees_on(frozenset(range(1, n + 1))):
-        parent, order = {}, {}
-        _materialize(shape, parent, order, 0)
-        trees.append(Tree.from_parent(parent, order, n=n))
+    trees = [_from_nested(shape, n) for shape in _trees_on(frozenset(range(1, n + 1)))]
     trees.sort(key=Tree.sort_key)
     return trees

@@ -7,7 +7,8 @@ last-first pairs.
 
 Every Word validates itself when built, in time linear in its length:
 surjectivity onto 1..n (one set), no consecutive repeat (one pass) and
-no interlacing (one pass with a stack, _check_interlacing).
+no interlacing (one pass with a stack, _check_interlacing).  A face alone
+is built through _unchecked, by the face lemma in extensions.
 
 Renaming the vertices keeps all three conditions, and a word's down-order
 names the one renaming under which its vertices first occur as 1, ..., n.
@@ -38,6 +39,13 @@ class Word:
         self.n = n
         self.letters = letters
         self._key = (n, letters)
+
+    @classmethod
+    def _unchecked(cls, letters, n):
+        """A word already known to be valid: a face (see extensions)."""
+        self = object.__new__(cls)
+        self.n, self.letters, self._key = n, letters, (n, letters)
+        return self
 
     @property
     def degree(self):
@@ -106,11 +114,6 @@ class Word:
             if u not in self.letters[i + 1:] and v not in self.letters[:i + 1]:
                 out.append(i)
         return out
-
-    def permute(self, sigma):
-        """Replace u by sigma^{-1}(u) (right group action)."""
-        from .trees import _invert
-        return self.relabel(_invert(sigma, self.n))
 
     def relabel(self, new):
         """The word with every vertex u renamed new[u]; new is indexed by

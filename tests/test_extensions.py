@@ -1,22 +1,30 @@
+import ast
 import math
 import os
 import random
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiltops
 from quiltops.extensions import (face, face_signs, boundary, boundary_sum,
                                  tree_extensions, word_extensions,
-                                 extension_sign, compose, compose_sums, _faces)
+                                 extension_sign, compose, compose_sums, _built,
+                                 _deleted, _faces)
 from quiltops.formal import FormalSum, parse_formal
 from quiltops.linfty import L0, P0
 from quiltops.rings import ZZ, QQ, GF2
 from quiltops.trees import Tree, enumerate_trees, parse_tree
-from quiltops.words import Word, enumerate_words, parse_word
+from quiltops.words import Word, WordInvalid, enumerate_words, parse_word
 from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt, identity_quilt
+from quiltops import mquilt
+from quiltops.mquilt import MQuilt, mq_boundary
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quiltops"
 
 
 # ------------------------------------------------------------- oracles
@@ -240,19 +248,118 @@ def test_degree_zero_boundary():
     assert boundary(parse_quilt("12;1(2)")).is_zero()
 
 
-# boundary_sum builds only the faces that survive, so nothing validates
-# the cancelled ones as a side effect: the two lemmas it rests on are
-# tested here directly.
+# Faces are built by the face lemma, without the validating constructors,
+# and boundary_sum builds only the faces that survive: the lemmas they rest
+# on are tested here directly, against the build they replaced.
+
+def _built_validated(letters, tree):
+    """The face built through the validating constructors: the oracle for
+    _built, which skips them by the face lemma."""
+    return Word(letters) if tree is None else Quilt(Word(letters, tree.n), tree)
+
+
+def _assert_built_as_validated(letters, tree):
+    got, want = _built(letters, tree), _built_validated(letters, tree)
+    assert type(got) is type(want) and got == want, (letters, tree)
+    assert hash(got) == hash(want) and str(got) == str(want), (letters, tree)
+    assert got.sort_key() == want.sort_key(), (letters, tree)
+
 
 def test_every_face_of_a_quilt_is_a_quilt():
-    quilts = [q for n in range(1, 5) for q in enumerate_quilts(n)]
-    quilts += random.Random(14).sample(enumerate_quilts(5), 2000)
     built = 0
-    for q in quilts:
-        for f, _ in _faces(q.word.letters):
-            Quilt(Word(f, q.n), q.tree)
-            built += 1
-    assert built == 5127
+    for n in range(1, 6):
+        for q in enumerate_quilts(n):
+            for f, _ in _faces(q.word.letters):
+                _assert_built_as_validated(f, q.tree)
+                built += 1
+    assert built == 111276
+
+
+def test_every_face_of_a_word_is_a_word():
+    built = 0
+    for n in range(1, 6):
+        for w in enumerate_words(n):
+            for f, _ in _faces(w.letters):
+                _assert_built_as_validated(f, None)
+                built += 1
+    assert built == 49954
+
+
+def test_face_builds_as_validated():
+    for q in enumerate_quilts(3) + enumerate_quilts(4):
+        for x in (q, q.word):
+            tree = q.tree if x is q else None
+            for i, x_i in enumerate(q.word.letters):
+                got = face(x, i)
+                if q.word.count(x_i) > 1:
+                    want = _built_validated(q.word.letters[:i] + q.word.letters[i + 1:], tree)
+                    assert got == want and str(got) == str(want), (x, i)
+                else:
+                    assert got is None, (x, i)
+
+
+def test_mq_boundary_faces_build_as_validated(monkeypatch):
+    # every quilt of arity <= 4 with its top k labels marked, k = 0..n
+    keys = [MQuilt(q, k) for n in range(1, 5) for q in enumerate_quilts(n)
+            for k in range(n + 1)]
+    faces = sum(len(_faces(x.quilt.word.letters)) for x in keys)
+    sums = [FormalSum(ZZ, [(x, 1)]) for x in keys]
+    got = [mq_boundary(xs) for xs in sums]
+    monkeypatch.setattr(mquilt, "_built", _built_validated)
+    want = [mq_boundary(xs) for xs in sums]
+    for xs, g, w in zip(sums, got, want):
+        assert list(g.terms.items()) == list(w.terms.items()), xs
+    assert (len(keys), faces, sum(not g.is_zero() for g in got)) == (4064, 4968, 612)
+
+
+def test_deleted_refuses_a_new_repeat():
+    # x u x with u not repeated: the one condition a face does not inherit
+    with pytest.raises(WordInvalid):
+        _deleted((1, 2, 1), 1)
+    assert _deleted((1, 2, 1, 3), 2) == (1, 2, 3)
+
+
+class _UncheckedUses(ast.NodeVisitor):
+    """(enclosing function, line) of every use of an unchecked constructor:
+    an attribute or name _unchecked, or the string "_unchecked"."""
+
+    def __init__(self):
+        self.scope, self.sites = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _check(self, node, name):
+        if name == "_unchecked":
+            self.sites.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        self._check(node, node.attr)
+
+    def visit_Name(self, node):
+        self._check(node, node.id)
+
+    def visit_Constant(self, node):
+        self._check(node, node.value)
+
+
+def _unchecked_sites(source):
+    uses = _UncheckedUses()
+    uses.visit(ast.parse(source))
+    return uses.sites
+
+
+def test_unchecked_constructors_are_used_only_to_build_faces():
+    assert _unchecked_sites("def f(w):\n    return getattr(Word, '_unchecked')") == [("f", 2)]
+    assert callable(Word._unchecked) and callable(Quilt._unchecked)
+    sites = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope, _ in _unchecked_sites(path.read_text())]
+    assert sites == [("extensions.py", "_built")] * 3
 
 
 def test_faces_of_one_word_are_distinct():

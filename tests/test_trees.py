@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from quiltops.trees import Tree, TreeInvalid, enumerate_trees, parity_sign, parse_tree
+from quiltops.trees import (Tree, TreeInvalid, _invert, enumerate_trees, parity_sign,
+                            parse_tree)
 
 
 def catalan(n):
@@ -27,6 +28,14 @@ def test_invalid_trees():
         Tree((0, 0, 1), ((), (2, 2), ()))   # duplicated child
     with pytest.raises(TreeInvalid):
         parse_tree("1(3)")                  # labels not 1..n
+
+
+@pytest.mark.parametrize("text", ["1(1)", "2(1,2)", "5(3(5(3),4,4(3,1,1)),1(4,2),5)"])
+def test_parse_tree_refuses_repeated_labels(text):
+    # each once parsed as a tree, a later occurrence of a label overwriting
+    # an earlier one: 1(1) as 1, 2(1,2) as 2(1)
+    with pytest.raises(TreeInvalid, match="labels must be 1..n"):
+        parse_tree(text)
 
 
 def test_orders():
@@ -137,6 +146,11 @@ def test_sort_key_is_the_stored_key():
             assert t.sort_key() is t.key()
 
 
+def _permute(t, sigma):
+    """t with every vertex u replaced by sigma^{-1}(u), a right action."""
+    return Tree(*t.relabelled(_invert(sigma, t.n)))
+
+
 def test_permutation_action():
     random.seed(0)
     trees = enumerate_trees(4)
@@ -145,14 +159,14 @@ def test_permutation_action():
         perm = random.sample(range(1, 5), 4)
         sigma = {i + 1: perm[i] for i in range(4)}
         inv = {v: k for k, v in sigma.items()}
-        assert t.permute(sigma).permute(inv) == t
+        assert _permute(_permute(t, sigma), inv) == t
     # right action: (t^s)^r == t^(s r)
     for _ in range(50):
         t = random.choice(trees)
         s = dict(zip(range(1, 5), random.sample(range(1, 5), 4)))
         r = dict(zip(range(1, 5), random.sample(range(1, 5), 4)))
         sr = {i: s[r[i]] for i in range(1, 5)}
-        assert t.permute(s).permute(r) == t.permute(sr)
+        assert _permute(_permute(t, s), r) == _permute(t, sr)
 
 
 def cycle_count_sign(perm):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiltops.trees import _invert
 from quiltops.words import (Word, WordInvalid, _check_interlacing,
                             enumerate_words, first_occurrence_words, parse_word,
                             word_statistics)
@@ -140,8 +141,8 @@ def test_permutation_action():
         perm = random.sample(range(1, 4), 3)
         sigma = {i + 1: perm[i] for i in range(3)}
         inv = {v: k for k, v in sigma.items()}
-        assert w.permute(sigma).permute(inv) == w
-        assert w.permute(sigma).degree == w.degree
+        assert w.relabel(_invert(sigma, 3)).relabel(_invert(inv, 3)) == w
+        assert w.relabel(_invert(sigma, 3)).degree == w.degree
 
 
 def test_down_order():
