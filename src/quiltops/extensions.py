@@ -26,9 +26,9 @@ with the same tree a face of a quilt is a quilt.
     outside, so u x u x or x u x u: interlacing.
 The last is the one condition a subsequence does not inherit, and _deleted
 checks it in O(1).  _built then makes the face with the unchecked
-constructors Word._unchecked and Quilt._unchecked, referenced nowhere else
-in the package.  No letter repeats consecutively, so the faces of a word
-are distinct.  boundary_sum builds only the faces that survive.
+constructors Word._unchecked and Quilt._unchecked, also used by relabel
+(quilts).  No letter repeats consecutively, so the faces of a word are
+distinct.  boundary_sum builds only the faces that survive.
 """
 
 from itertools import combinations_with_replacement

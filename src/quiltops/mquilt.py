@@ -305,7 +305,7 @@ def _component_echelon(start):
 
 
 def _relabel(key, new):
-    """key with every label u renamed new[u], through the validating constructors."""
+    """key with every label u renamed new[u], by the relabelling lemma (quilts)."""
     return MQuilt(key.quilt.relabel(new), key.marks)
 
 

@@ -8,20 +8,22 @@ The two axioms:
 
 The degree of a quilt is the degree of its word.
 
-Every Quilt validates itself when built, after its Word and Tree have,
-each in linear time: check_axioms makes one pass over the word and one
-over the edges for axiom (1), and for axiom (2) walks the letters between
-the first and last occurrence of each vertex (at most n times the length).
-A face alone is built through _unchecked, by the face lemma in extensions.
+Quilt() validates after its Word and Tree have, by check_axioms: linear
+for axiom (1), at most n times the length for axiom (2).  Faces (the face
+lemma in extensions) and relabellings (below) skip it through _unchecked.
 
-Both axioms are invariant under renaming the vertices, so each quilt is
-the relabelling, by its word's down-order, of exactly one quilt whose word
-first visits 1, 2, ..., n: enumerate_quilts searches trees only for those.
-As relabelling is a bijection on words, each relabelled first-occurrence
-word comes up once over all permutations (the 22 that carry a quilt at
-arity 5 give 2,640 words).  The canonical order compares the words (degree,
-then letters) before the trees, so sorting those words and each word's
-trees already orders the quilts: no sort runs over all of them.
+Relabelling lemma: renaming each vertex u to new[u], for a permutation new
+of 1..n, keeps every word condition and both axioms.  They are stated
+through positions, equal letters (new is injective) and the ancestor and
+left-of relations, and the renamed tree's walk meets new[v] where the old
+one met v, so pre, end and depth move with the labels.  relabel checks
+only new, in O(n).  Each quilt is the relabelling, by its word's
+down-order, of exactly one quilt whose word first visits 1, ..., n:
+enumerate_quilts validates and searches trees only for those.  Relabelling
+is a bijection on words, so the 22 first-occurrence words with a quilt at
+arity 5 give 2,640 distinct words.  The canonical order compares the words
+(degree, then letters) before the trees, so sorting those words and each
+word's trees already orders the quilts: no sort runs over all of them.
 """
 
 from functools import lru_cache
@@ -51,7 +53,7 @@ class Quilt:
 
     @classmethod
     def _unchecked(cls, word, tree):
-        """A quilt already known to be valid: a face (see extensions)."""
+        """A quilt already known to be valid: a face or a relabelling."""
         self = object.__new__(cls)
         self.word, self.tree = word, tree
         return self
@@ -81,8 +83,8 @@ class Quilt:
         return self.relabel(_invert(sigma, self.n))
 
     def relabel(self, new):
-        """The quilt with every vertex u renamed new[u], new[0] unused."""
-        return Quilt(self.word.relabel(new), Tree(*self.tree.relabelled(new)))
+        """The quilt renamed by new (see Word.relabel): the relabelling lemma."""
+        return Quilt._unchecked(self.word.relabel(new), self.tree.relabel(new))
 
     def __str__(self):
         return "%s;%s" % (self.word, self.tree)
@@ -238,10 +240,10 @@ def first_occurrence_quilts(n, degree=None):
 
 def enumerate_quilts(n, degree=None):
     """All quilts of arity n (optionally one degree), canonically ordered:
-    the first-occurrence quilts relabelled by every permutation of 1..n,
-    built in that order."""
+    the first-occurrence quilts, validated, relabelled by every permutation
+    of 1..n and built unchecked in that order (the relabelling lemma)."""
     trees_of = {w: ts for w in first_occurrence_words(n, degree) if (ts := compatible_trees(w))}
-    trees = dict.fromkeys(t for ts in trees_of.values() for t in ts)
+    trees = dict.fromkeys(Quilt(w, t).tree for w, ts in trees_of.items() for t in ts)  # validated
     groups = []
     for p in permutations(range(1, n + 1)):
         new = (0,) + p
@@ -249,7 +251,7 @@ def enumerate_quilts(n, degree=None):
         groups.extend((word.relabel(new), sorted(map(tree_of.get, ts), key=Tree.sort_key))
                       for word, ts in trees_of.items())
     groups.sort(key=lambda g: g[0].sort_key())
-    return [Quilt(word, tree) for word, ts in groups for tree in ts]
+    return [Quilt._unchecked(word, tree) for word, ts in groups for tree in ts]
 
 
 def identity_quilt():

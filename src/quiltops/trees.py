@@ -13,11 +13,12 @@ and end[v], the largest one in its subtree.  Two subtree intervals are
 nested or disjoint in planar order, so u <= v iff
 pre[u] <= pre[v] <= end[u], and u <| v iff end[u] < pre[v].
 
-Vertices are 1-based throughout.
+Vertices are 1-based throughout; relabel renames them (lemma in quilts).
 """
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 
 class TreeInvalid(ValueError):
@@ -67,15 +68,19 @@ class Tree:
         for u in reversed(order):
             if children[u]:
                 end[u] = end[children[u][-1]]
-        self.n = n
-        self.parent = parent
-        self.children = children
-        self._root = roots[0]
-        self._depth = tuple(depth)
-        self._pre = tuple(pre)
-        self._end = tuple(end)
-        self._key = (n, parent, children)
+        self._set(parent, children, roots[0], tuple(depth), tuple(pre), tuple(end))
+
+    @classmethod
+    def _unchecked(cls, *slots):
+        """A tree already known to be valid: a relabelling (see relabel)."""
+        return object.__new__(cls)._set(*slots)
+
+    def _set(self, parent, children, root, depth, pre, end):
+        self.n, self.parent, self.children, self._root = len(parent) - 1, parent, children, root
+        self._depth, self._pre, self._end = depth, pre, end
+        self._key = (self.n, parent, children)
         self._hash = hash(self._key)
+        return self
 
     @property
     def root(self):
@@ -137,16 +142,23 @@ class Tree:
         return tuple(out)
 
     def relabelled(self, new):
-        """The (parent, children) tuples of this tree with every vertex u
-        renamed new[u]; new is indexed by label, new[0] unused."""
+        """(parent, children) with every vertex u renamed new[u], new[0] unused."""
         n = self.n
         parent = [0] * (n + 1)
         kids = [()] * (n + 1)
         for v in range(1, n + 1):
             pv = self.parent[v]
             parent[new[v]] = new[pv] if pv else 0
-            kids[new[v]] = tuple(new[c] for c in self.children[v])
+            kids[new[v]] = tuple([new[c] for c in self.children[v]])
         return tuple(parent), tuple(kids)
+
+    def relabel(self, new):
+        """The tree renamed by new, a checked permutation (lemma in quilts)."""
+        if set(new[1:self.n + 1]) != set(range(1, self.n + 1)):
+            raise TreeInvalid("relabelling %r is not a permutation of 1..%d" % (new, self.n))
+        old = itemgetter(*_invert(new[1:self.n + 1], self.n))
+        walk = old(self._depth), old(self._pre), old(self._end)
+        return Tree._unchecked(*self.relabelled(new), new[self._root], *walk)
 
     def __str__(self):
         def fmt(u):

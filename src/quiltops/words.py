@@ -5,15 +5,14 @@ degree of a word is length - n; caesurae (non-final occurrences) pair
 off with interposed vertices, giving |W| = 2n - s - 1 where s counts
 last-first pairs.
 
-Every Word validates itself when built, in time linear in its length:
-surjectivity onto 1..n (one set), no consecutive repeat (one pass) and
-no interlacing (one pass with a stack, _check_interlacing).  A face alone
-is built through _unchecked, by the face lemma in extensions.
-
-Renaming the vertices keeps all three conditions, and a word's down-order
-names the one renaming under which its vertices first occur as 1, ..., n.
-So the words of arity n are in bijection with the pairs (first-occurrence
-word, permutation of 1..n), and only the first-occurrence words are grown.
+Word() validates, in time linear in its length: surjectivity onto 1..n
+(one set), no consecutive repeat (one pass) and no interlacing (one pass
+with a stack, _check_interlacing).  Faces (the face lemma in extensions)
+skip it through _unchecked, and so do relabellings: renaming the vertices
+keeps all three conditions (the relabelling lemma in quilts).  A word's
+down-order names the one renaming under which its vertices first occur as
+1, ..., n.  So the words of arity n are in bijection with the pairs
+(first-occurrence word, permutation of 1..n); only the former are grown.
 """
 
 from itertools import permutations
@@ -42,7 +41,7 @@ class Word:
 
     @classmethod
     def _unchecked(cls, letters, n):
-        """A word already known to be valid: a face (see extensions)."""
+        """A word already known to be valid: a face or a relabelling."""
         self = object.__new__(cls)
         self.n, self.letters, self._key = n, letters, (n, letters)
         return self
@@ -116,9 +115,10 @@ class Word:
         return out
 
     def relabel(self, new):
-        """The word with every vertex u renamed new[u]; new is indexed by
-        label, new[0] unused."""
-        return Word(tuple(new[x] for x in self.letters), self.n)
+        """The word with each u renamed new[u], new a checked permutation."""
+        if set(new[1:self.n + 1]) != set(range(1, self.n + 1)):
+            raise WordInvalid("relabelling %r is not a permutation of 1..%d" % (new, self.n))
+        return Word._unchecked(tuple(new[x] for x in self.letters), self.n)
 
     def __str__(self):
         if self.n <= 9:

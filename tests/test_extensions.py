@@ -320,8 +320,8 @@ def test_deleted_refuses_a_new_repeat():
 
 
 class _UncheckedUses(ast.NodeVisitor):
-    """(enclosing function, line) of every use of an unchecked constructor:
-    an attribute or name _unchecked, or the string "_unchecked"."""
+    """(enclosing class and function, line) of every use of an unchecked
+    constructor: an attribute or name _unchecked, or the string "_unchecked"."""
 
     def __init__(self):
         self.scope, self.sites = [], []
@@ -331,7 +331,7 @@ class _UncheckedUses(ast.NodeVisitor):
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def _check(self, node, name):
         if name == "_unchecked":
@@ -354,12 +354,18 @@ def _unchecked_sites(source):
     return uses.sites
 
 
-def test_unchecked_constructors_are_used_only_to_build_faces():
+def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
+    # faces by the face lemma (extensions), relabellings by the relabelling
+    # lemma (quilts); a new caller needs its own lemma and exhaustive test
     assert _unchecked_sites("def f(w):\n    return getattr(Word, '_unchecked')") == [("f", 2)]
-    assert callable(Word._unchecked) and callable(Quilt._unchecked)
+    assert _unchecked_sites("class C:\n    def g(self):\n        return self._unchecked"
+                            ) == [("C.g", 3)]
+    assert all(callable(cls._unchecked) for cls in (Word, Tree, Quilt))
     sites = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope, _ in _unchecked_sites(path.read_text())]
-    assert sites == [("extensions.py", "_built")] * 3
+    assert sites == [("extensions.py", "_built")] * 3 + [
+        ("quilts.py", "Quilt.relabel"), ("quilts.py", "enumerate_quilts"),
+        ("trees.py", "Tree.relabel"), ("words.py", "Word.relabel")]
 
 
 def test_faces_of_one_word_are_distinct():

@@ -9,8 +9,8 @@ from quiltops import quilts
 from quiltops.quilts import (Quilt, QuiltAxiomViolated, validate_quilt,
                              parse_quilt, enumerate_quilts, compatible_trees,
                              check_axioms, identity_quilt)
-from quiltops.words import Word, enumerate_words
-from quiltops.trees import Tree, enumerate_trees
+from quiltops.words import Word, WordInvalid, enumerate_words, first_occurrence_words
+from quiltops.trees import Tree, TreeInvalid, enumerate_trees
 
 
 def _enumerate_quilts_by_words(n, degree=None):
@@ -224,3 +224,103 @@ def test_permutation_group_action():
 def test_identity_quilt():
     q = identity_quilt()
     assert q.n == 1 and q.degree == 0
+
+
+def _relabel_validated(q, new):
+    """Oracle for Quilt.relabel (and Word.relabel): the renamed word, tree
+    and quilt built through their validating constructors."""
+    word = Word(tuple(new[x] for x in q.word.letters), q.n)
+    return Quilt(word, Tree(*q.tree.relabelled(new)))
+
+
+def _enumerate_quilts_validated(n, degree=None):
+    """Oracle for enumerate_quilts: its body before the relabelling lemma,
+    every relabelled word and quilt built through the validating
+    constructors."""
+    trees_of = {w: ts for w in first_occurrence_words(n, degree) if (ts := compatible_trees(w))}
+    trees = dict.fromkeys(t for ts in trees_of.values() for t in ts)
+    groups = []
+    for p in itertools.permutations(range(1, n + 1)):
+        new = (0,) + p
+        tree_of = {t: quilts._shared_tree(*t.relabelled(new)) for t in trees}
+        groups.extend((Word(tuple(new[x] for x in word.letters), n),
+                       sorted(map(tree_of.get, ts), key=Tree.sort_key))
+                      for word, ts in trees_of.items())
+    groups.sort(key=lambda g: g[0].sort_key())
+    return [Quilt(word, tree) for word, ts in groups for tree in ts]
+
+
+def _tree_slots(t):
+    return tuple(getattr(t, s) for s in Tree.__slots__)
+
+
+def _assert_built_as_validated(got, want):
+    assert type(got) is Quilt and got == want, (got, want)
+    assert hash(got) == hash(want) and str(got) == str(want), (got, want)
+    assert got.sort_key() == want.sort_key(), (got, want)
+    assert (got.word.n, got.word._key) == (want.word.n, want.word._key), (got, want)
+    assert _tree_slots(got.tree) == _tree_slots(want.tree), (got, want)
+
+
+def test_enumeration_builds_as_validated():
+    # the relabelling lemma: term by term, in order, as the validating build
+    for n in range(1, 6):
+        got, want = enumerate_quilts(n), _enumerate_quilts_validated(n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w and hash(g) == hash(w) and str(g) == str(w), (g, w)
+            assert g.sort_key() == w.sort_key(), (g, w)
+            assert g.tree is w.tree, (g, w)
+
+
+def test_relabel_builds_as_validated():
+    # every quilt of arity <= 4 under every permutation, and all 53,040 of
+    # arity 5 under seeded permutations
+    for n in range(1, 5):
+        news = [(0,) + p for p in itertools.permutations(range(1, n + 1))]
+        for q in enumerate_quilts(n):
+            for new in news:
+                _assert_built_as_validated(q.relabel(new), _relabel_validated(q, new))
+    rng = random.Random(22)
+    for q in enumerate_quilts(5):
+        new = (0,) + tuple(rng.sample(range(1, 6), 5))
+        _assert_built_as_validated(q.relabel(new), _relabel_validated(q, new))
+
+
+def test_enumeration_validates_only_first_occurrence_quilts(monkeypatch):
+    # the relabelling lemma carries the 442 checks to all 53,040 quilts
+    words = []
+
+    def counted(word, tree):
+        words.append(word)
+        return check_axioms(word, tree)
+
+    monkeypatch.setattr(quilts, "check_axioms", counted)
+    assert len(enumerate_quilts(5)) == 53040
+    assert len(words) == 442
+    assert all(w.down_order() == [1, 2, 3, 4, 5] for w in words)
+
+
+def test_enumeration_refuses_an_incompatible_tree(monkeypatch):
+    # relabelling carries validity over, not invalidity away: a bad tree
+    # among the first-occurrence quilts is refused before it is relabelled
+    def with_a_bad_tree(word):
+        ts = compatible_trees(word)
+        return ts + [next(t for t in enumerate_trees(word.n) if t not in ts)]
+
+    monkeypatch.setattr(quilts, "compatible_trees", with_a_bad_tree)
+    with pytest.raises(QuiltAxiomViolated):
+        enumerate_quilts(3)
+
+
+@pytest.mark.parametrize("new", [(0, 1, 1, 3), (0, 1, 2), (0, 0, 2, 3)],
+                         ids=["repeated-image", "short", "maps-to-zero"])
+def test_relabel_refuses_a_non_permutation(new):
+    # the one hypothesis of the relabelling lemma, checked by all three
+    for q in enumerate_quilts(3):
+        with pytest.raises(WordInvalid):
+            q.word.relabel(new)
+        with pytest.raises(TreeInvalid):
+            q.tree.relabel(new)
+        with pytest.raises(WordInvalid):
+            q.relabel(new)

@@ -169,6 +169,29 @@ def test_permutation_action():
         assert _permute(_permute(t, s), r) == _permute(t, sr)
 
 
+def _relabel_validated(t, new):
+    """Oracle for Tree.relabel: the renamed tree through the validating
+    constructor, which walks it again."""
+    return Tree(*t.relabelled(new))
+
+
+def _slots(t):
+    return tuple(getattr(t, s) for s in Tree.__slots__)
+
+
+def test_relabel_matches_validated_build():
+    # the relabelling lemma on trees: every tree of arity <= 5 under every
+    # permutation (201,600 pairs at arity 5), equal on every slot, the walk
+    # arrays (_pre, _end, _depth), _root, _key and _hash among them
+    assert set(Tree.__slots__) >= {"_pre", "_end", "_depth", "_root", "_key", "_hash"}
+    for n in range(1, 6):
+        news = [(0,) + p for p in itertools.permutations(range(1, n + 1))]
+        for t in enumerate_trees(n):
+            for new in news:
+                got = t.relabel(new)
+                assert _slots(got) == _slots(_relabel_validated(t, new)), (t, new)
+
+
 def cycle_count_sign(perm):
     """Oracle: the sign of a permutation of 0..n-1 from its cycle type,
     (-1) to the number of cycles of even length."""
