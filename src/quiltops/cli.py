@@ -6,9 +6,9 @@ identities.  Arity-6 homology and the marked L-infinity relation from
 arity 6 sit behind --deep: without it such a request exits 2 before any check
 runs, as does a --max-arity that leaves nothing to check or a homology
 --arity below 1, so a PASS never hides a skipped or empty suite.  Bad
-input to a calculator (an operand that does not parse, an arity below 1,
-an unknown ring, marks outside the arity) also exits 2 with one line on
-stderr.
+input to a calculator (an operand that does not parse or is empty, an
+arity below 1, a degree below 0, an unknown ring, marks outside the
+arity) also exits 2 with one line on stderr.
 """
 
 import argparse
@@ -77,6 +77,9 @@ def _cmd_enumerate(args):
     n = args.arity
     if n < 1:
         return _fail("enumerate", "--arity %d has no %ss: arities start at 1" % (n, kind))
+    if (args.degree or 0) < 0:
+        return _fail("enumerate", "--degree %d has no %ss: degrees start at 0"
+                     % (args.degree, kind))
     if kind == "tree":
         items = enumerate_trees(n)
     elif kind == "word":

@@ -28,7 +28,16 @@ The last is the one condition a subsequence does not inherit, and _deleted
 checks it in O(1).  _built then makes the face with the unchecked
 constructors Word._unchecked and Quilt._unchecked, also used by relabel
 (quilts).  No letter repeats consecutively, so the faces of a word are
-distinct.  boundary_sum builds only the faces that survive.
+distinct.
+
+Both boundaries hand FormalSum._unchecked a dict that is already canonical.
+boundary: the faces of one word are distinct and their signs are +-1.
+boundary_sum: one constructor pass adds the pairs ((face letters, i),
+c * sign), i the position of the term's tree in a per-call index keyed by
+equality (one tree hash per term), each word's faces from a per-call table.
+(letters, i) keys are equal exactly when (letters, tree) keys are, so the
+pairs cancel and keep their order as by tree, leaving nonzero canonical
+coefficients; (letters, i) -> _built(letters, trees[i]) is injective.
 """
 
 from itertools import combinations_with_replacement
@@ -95,7 +104,7 @@ def _built(letters, tree):
 def boundary(x):
     """Signed sum of faces; lowers degree by one."""
     word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
-    return FormalSum(ZZ, [(_built(f, tree), s) for f, s in _faces(word.letters)])
+    return FormalSum._unchecked(ZZ, {_built(f, tree): s for f, s in _faces(word.letters)})
 
 
 # ----------------------------------------------------------- extensions
@@ -123,11 +132,7 @@ def tree_extensions(outer, inner, a):
     kids_a = outer.children[a]
     r = len(kids_a)
     # which corner of its vertex each corner-word position is
-    occ_index = []
-    seen = {}
-    for u in corners:
-        occ_index.append(seen.get(u, 0))
-        seen[u] = seen.get(u, 0) + 1
+    occ_index = [corners[:k].count(u) for k, u in enumerate(corners)]
 
     out = []
     for kappa in combinations_with_replacement(range(len(corners)), r):
@@ -148,17 +153,8 @@ def tree_extensions(outer, inner, a):
         for child, k in zip(kids_a, kappa):
             key = (corners[k] + a - 1, occ_index[k])
             inserted.setdefault(key, []).append(beta_inv(child))
-        if inserted:
-            for u in range(1, N + 1):
-                base = children[u]
-                if not any((u, j) in inserted for j in range(len(base) + 1)):
-                    continue
-                rebuilt = []
-                for j in range(len(base) + 1):
-                    rebuilt.extend(inserted.get((u, j), []))
-                    if j < len(base):
-                        rebuilt.append(base[j])
-                children[u] = rebuilt
+        for u, j in sorted(inserted, reverse=True):  # right to left, so j stays put
+            children[u][j:j] = inserted[u, j]
         parent = [0] * (N + 1)
         for u in range(1, N + 1):
             for c in children[u]:
@@ -183,19 +179,11 @@ def word_extensions(outer, inner, a):
     L = len(inner.letters)
     out = []
     for kappa in combinations_with_replacement(range(L), r):
-        pieces = []
-        for i in range(r + 1):
-            start = 0 if i == 0 else kappa[i - 1]
-            end = kappa[i] if i < r else L - 1
-            pieces.append([x + a - 1 for x in inner.letters[start:end + 1]])
-        letters = []
-        count_a = 0
-        for x in outer.letters:
-            if x == a:
-                letters.extend(pieces[count_a])
-                count_a += 1
-            else:
-                letters.append(beta_inv(x))
+        cuts = (0,) + kappa + (L - 1,)
+        pieces = iter([x + a - 1 for x in inner.letters[cuts[i]:cuts[i + 1] + 1]]
+                      for i in range(r + 1))
+        letters = [y for x in outer.letters
+                   for y in (next(pieces) if x == a else (beta_inv(x),))]
         out.append(Word(tuple(letters), n + m - 1))
     return out
 
@@ -250,11 +238,20 @@ def compose(x, a, y):
 
 def boundary_sum(xs):
     """Linear extension of boundary; each pair is dropped as its face is built."""
-    parts = lambda x: (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
-    pairs = FormalSum(xs.ring, (((f, tree), c * s)
-                                for x, c in xs.terms.items() for word, tree in [parts(x)]
-                                for f, s in _faces(word.letters))).terms
-    return FormalSum(xs.ring, ((_built(*key), pairs.pop(key)) for key in list(pairs)))
+    index = {}
+
+    def pairs():
+        table = {}
+        for x, c in xs.terms.items():
+            word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
+            i, ls = index.setdefault(tree, len(index)), word.letters
+            for f, s in table[ls] if ls in table else table.setdefault(ls, _faces(ls)):
+                yield (f, i), c * s
+
+    terms = FormalSum(xs.ring, pairs()).terms
+    trees = list(index)
+    return FormalSum._unchecked(xs.ring, {_built(f, trees[i]): terms.pop((f, i))
+                                          for f, i in list(terms)})
 
 
 def compose_sums(xs, a, ys):

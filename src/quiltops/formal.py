@@ -11,9 +11,11 @@ sequence of (key, coefficient) pairs into a single dict, inserting a key
 at its first nonzero coefficient and dropping it when it cancels, so the
 insertion order of `terms` depends only on the pair sequence.
 linear_combination, bind, combine, scale and map_keys all hand a pair
-sequence to it.  The marked normal form fills its memo tables in the
-order keys are visited, so a change to how a sum is built must keep the
-order in which it visits the terms.
+sequence to it.  The one trusted constructor, FormalSum._unchecked, takes
+a dict that is already canonical; its two callers, extensions.boundary and
+boundary_sum, prove theirs.  The marked normal form fills its memo tables
+in the order keys are visited, so a change to how a sum is built must
+keep the order in which it visits the terms.
 
 A FormalSum returned by any function is never mutated in place: callers
 may hold and share it, so derive a new sum instead.
@@ -45,6 +47,13 @@ class FormalSum:
                 else:
                     data[key] = c
         self.terms = data
+
+    @classmethod
+    def _unchecked(cls, ring, terms):
+        """A sum from a dict already canonical (the two boundaries, see extensions)."""
+        self = object.__new__(cls)
+        self.ring, self.terms = ring, terms
+        return self
 
     @classmethod
     def single(cls, key, coeff=1, ring=ZZ):

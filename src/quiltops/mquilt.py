@@ -172,10 +172,10 @@ def _prenormal(quilt, mset):
     Only the smallest class word by (mark positions, relabelled letters,
     parent, children) is built, with the unmarked labels named in order of
     first occurrence (the same in every class word) so that the winner
-    commutes with relabelling them.  The tree breaks ties on the letters (in
-    1,464 of the 11,263 quilts of arity <= 4 with 1-3 marks; 684 would
-    change winner), and the input quilt is reused only if its tree comes
-    back too: equal letters alone keep a wrong tree 113 times there.
+    commutes with relabelling them.  The tree, relabelled only on a tie and
+    for the winner, breaks ties on the letters (1,464 of the 11,263 quilts of
+    arity <= 4 with 1-3 marks; 684 change winner); the input quilt is reused
+    only if its tree comes back too: equal letters keep a wrong tree 113 times.
     """
     word, tree = quilt.word, quilt.tree
     for v in mset:
@@ -199,16 +199,20 @@ def _prenormal(quilt, mset):
         down = [x for x in w.letters if x in mset]
         for i, v in enumerate(down):
             new[v] = top + 1 + i
-        rank = ((tuple(i for i, x in enumerate(w.letters) if x in mset),
-                 tuple(new[x] for x in w.letters)) + tree.relabelled(new))
+        rank = (tuple(i for i, x in enumerate(w.letters) if x in mset),
+                tuple(new[x] for x in w.letters))
         if best is None or rank < best[0]:
-            best = (rank, down, w)
-    (_, letters, parent, children), down, w = best
+            best = (rank, down, w, new[:], None)
+        elif rank == best[0]:    # a tie: the relabelled trees decide
+            shape, least = tree.relabelled(new), best[4] or tree.relabelled(best[3])
+            best = (rank, down, w, None, shape) if shape < least else best[:4] + (least,)
+    (_, letters), down, w, names, shape = best
     order = sorted(unmarked)
     if unmarked != order:        # the winner, unmarked labels kept in order
         for i, v in enumerate(order + down):
             new[v] = i + 1
-        letters, (parent, children) = tuple(new[x] for x in w.letters), tree.relabelled(new)
+        letters, shape = tuple(new[x] for x in w.letters), tree.relabelled(new)
+    parent, children = shape or tree.relabelled(names)
     if (N, parent, children) != tree.key():
         tree = Tree(parent, children)
     if tree is not quilt.tree or letters != word.letters:

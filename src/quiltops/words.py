@@ -155,6 +155,8 @@ def parse_word(text):
     text = text.strip()
     try:
         letters = tuple(int(t) for t in (text.split(",") if "," in text else text))
+        if not letters:
+            raise ValueError
     except ValueError:
         raise WordInvalid("expected a word of vertex labels such as 1232 "
                           "or 1,2,3,2") from None

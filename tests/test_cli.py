@@ -22,6 +22,8 @@ def test_enumerate(capsys):
     code, out, err = run(["enumerate", "quilt", "--arity", "2"], capsys)
     assert code == 0
     assert out.splitlines() == ["12;1(2)", "21;2(1)"]
+    code, out, err = run(["enumerate", "word", "--arity", "2", "--degree", "0"], capsys)
+    assert code == 0 and out.splitlines() == ["12", "21"]
 
 
 def test_boundary_word(capsys):
@@ -97,7 +99,15 @@ def test_homology_torsion_above_arity_4_exits_2(capsys, argv):
      "enumerate: --arity 0 has no quilts: arities start at 1"),
     (["enumerate", "tree", "--arity", "-2"],
      "enumerate: --arity -2 has no trees: arities start at 1"),
+    (["enumerate", "word", "--arity", "3", "--degree", "-1"],
+     "enumerate: --degree -1 has no words: degrees start at 0"),
+    (["enumerate", "quilt", "--arity", "2", "--degree", "-3"],
+     "enumerate: --degree -3 has no quilts: degrees start at 0"),
     (["boundary"], "boundary: give exactly one of --word and --quilt"),
+    (["boundary", "--word", ""], "boundary: cannot parse '': expected a word "
+     "of vertex labels such as 1232 or 1,2,3,2"),
+    (["boundary", "--quilt", ";1"], "boundary: cannot parse ';1': expected a word "
+     "of vertex labels such as 1232 or 1,2,3,2"),
     (["boundary", "--word", "1x2"], "boundary: cannot parse '1x2': expected a word "
      "of vertex labels such as 1232 or 1,2,3,2"),
     (["render", "--quilt", "12x"],
@@ -109,8 +119,9 @@ def test_homology_torsion_above_arity_4_exits_2(capsys, argv):
     (["homology", "--arity", "2", "--ring", "F4"], "homology: 4 is not prime"),
     (["homology", "--arity", "2", "--ring", "Fp:x"],
      "homology: unknown ring 'Fp:x': expected one of Z, Q, F<p>, Fp:<p>"),
-], ids=["enumerate-word", "enumerate-quilt", "enumerate-tree", "boundary-nothing",
-        "boundary-bad-word", "render-bad-quilt", "render-marks", "homology-ring-X",
+], ids=["enumerate-word", "enumerate-quilt", "enumerate-tree", "enumerate-word-degree",
+        "enumerate-quilt-degree", "boundary-nothing", "boundary-empty-word",
+        "boundary-empty-quilt-word", "boundary-bad-word", "render-bad-quilt", "render-marks", "homology-ring-X",
         "homology-ring-F4", "homology-ring-Fp-x"])
 def test_calculator_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(argv, capsys)

@@ -320,8 +320,9 @@ def test_deleted_refuses_a_new_repeat():
 
 
 class _UncheckedUses(ast.NodeVisitor):
-    """(enclosing class and function, line) of every use of an unchecked
-    constructor: an attribute or name _unchecked, or the string "_unchecked"."""
+    """(enclosing class and function, line, owner) of every use of an
+    unchecked constructor: an attribute (owner the name it is read from) or
+    name _unchecked, or the string "_unchecked"."""
 
     def __init__(self):
         self.scope, self.sites = [], []
@@ -333,13 +334,13 @@ class _UncheckedUses(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
-    def _check(self, node, name):
+    def _check(self, node, name, owner=None):
         if name == "_unchecked":
-            self.sites.append((".".join(self.scope), node.lineno))
+            self.sites.append((".".join(self.scope), node.lineno, owner))
         self.generic_visit(node)
 
     def visit_Attribute(self, node):
-        self._check(node, node.attr)
+        self._check(node, node.attr, getattr(node.value, "id", None))
 
     def visit_Name(self, node):
         self._check(node, node.id)
@@ -356,16 +357,21 @@ def _unchecked_sites(source):
 
 def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
     # faces by the face lemma (extensions), relabellings by the relabelling
-    # lemma (quilts); a new caller needs its own lemma and exhaustive test
-    assert _unchecked_sites("def f(w):\n    return getattr(Word, '_unchecked')") == [("f", 2)]
+    # lemma (quilts), and the two boundaries' sums, canonical by construction
+    # (extensions); a new caller needs its own lemma and exhaustive test
+    assert _unchecked_sites("def f(w):\n    return getattr(Word, '_unchecked')"
+                            ) == [("f", 2, None)]
     assert _unchecked_sites("class C:\n    def g(self):\n        return self._unchecked"
-                            ) == [("C.g", 3)]
-    assert all(callable(cls._unchecked) for cls in (Word, Tree, Quilt))
-    sites = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
-             for scope, _ in _unchecked_sites(path.read_text())]
-    assert sites == [("extensions.py", "_built")] * 3 + [
-        ("quilts.py", "Quilt.relabel"), ("quilts.py", "enumerate_quilts"),
-        ("trees.py", "Tree.relabel"), ("words.py", "Word.relabel")]
+                            ) == [("C.g", 3, "self")]
+    assert all(callable(cls._unchecked) for cls in (Word, Tree, Quilt, FormalSum))
+    sites = [(path.name, scope, owner) for path in sorted(SRC.glob("*.py"))
+             for scope, _, owner in _unchecked_sites(path.read_text())]
+    assert sites == [
+        ("extensions.py", "_built", "Word"), ("extensions.py", "_built", "Quilt"),
+        ("extensions.py", "_built", "Word"), ("extensions.py", "boundary", "FormalSum"),
+        ("extensions.py", "boundary_sum", "FormalSum"), ("quilts.py", "Quilt.relabel", "Quilt"),
+        ("quilts.py", "enumerate_quilts", "Quilt"), ("trees.py", "Tree.relabel", "Tree"),
+        ("words.py", "Word.relabel", "Word")]
 
 
 def test_faces_of_one_word_are_distinct():
@@ -375,14 +381,37 @@ def test_faces_of_one_word_are_distinct():
             assert len(set(faces)) == len(faces), str(w)
 
 
+def _faces_oracle(x):
+    """(face, sign) for every face of x, built through the validating
+    constructors, with its sign counted from scratch."""
+    word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
+    ls = word.letters
+    return [(_built_validated(ls[:i] + ls[i + 1:], tree), _face_sign_oracle(word, i))
+            for i in range(len(ls)) if word.count(ls[i]) > 1]
+
+
 def _boundary_sum_oracle(xs):
-    """Build every face as a word or quilt, then let them cancel."""
-    return xs.bind(boundary)
+    """Build every face as a word or quilt, then let the checking
+    constructor cancel them."""
+    return FormalSum(xs.ring, ((f, c * s) for x, c in xs.terms.items()
+                               for f, s in _faces_oracle(x)))
 
 
 def _assert_same_sum(got, expect):
     assert got.ring == expect.ring
     assert list(got.terms.items()) == list(expect.terms.items())
+    assert [hash(k) for k in got.terms] == [hash(k) for k in expect.terms]
+
+
+def test_boundary_builds_as_validated():
+    # FormalSum._unchecked takes boundary's face dict as it is
+    counts = []
+    for n in range(1, 6):
+        for basis in (enumerate_words(n), _quilts(n)):
+            for x in basis:
+                _assert_same_sum(boundary(x), FormalSum(ZZ, _faces_oracle(x)))
+            counts.append(len(basis))
+    assert counts[-2:] == [10800, 53040]
 
 
 @lru_cache(maxsize=None)
@@ -434,6 +463,46 @@ def test_boundary_sum_matches_oracle_on_repeated_keys(data, ring):
     xs = FormalSum(ring, pairs)
     for ys in (xs, boundary_sum(xs)):
         _assert_same_sum(boundary_sum(ys), _boundary_sum_oracle(ys))
+
+
+def _rebuilt(xs):
+    """xs with every tree rebuilt as its own object, equal to the original."""
+    return FormalSum(xs.ring, [(Quilt(x.word, Tree(x.tree.parent, x.tree.children)), c)
+                               for x, c in xs.terms.items()])
+
+
+def test_boundary_sum_merges_faces_on_equal_trees_that_are_distinct_objects():
+    # the per-call tree index keys trees by equality, not identity
+    merged = cancelled = 0
+    for ring in (ZZ, QQ, GF2):
+        for xs in (L0(4, ring), P0(4, ring)):
+            ys = _rebuilt(xs)
+            assert len({id(y.tree) for y in ys.terms}) == len(ys) == len(xs)
+            _assert_same_sum(boundary_sum(ys), _boundary_sum_oracle(ys))
+            merged += len(boundary_sum(ys)) < sum(len(_faces(y.word.letters)) for y in ys.terms)
+        for q in _quilts(4)[::97]:
+            dq = _rebuilt(FormalSum(ring, boundary(q).terms))
+            assert boundary_sum(dq).is_zero() and _boundary_sum_oracle(dq).is_zero()
+            cancelled += len(dq) > 1
+    assert merged == 6 and cancelled > 10
+
+
+def test_boundary_sum_hashes_each_input_tree_once(monkeypatch):
+    rng = random.Random(23)
+    xs = FormalSum(ZZ, rng.sample(sorted(L0(5).terms.items(), key=lambda kv: kv[0].sort_key()),
+                                  200))
+    sums = [xs, boundary_sum(xs)]
+    calls = []
+
+    def counted(tree):
+        calls.append(tree)
+        return tree._hash
+
+    monkeypatch.setattr(Tree, "__hash__", counted)
+    for ys in sums:
+        calls.clear()
+        boundary_sum(ys)
+        assert 0 < len(calls) <= len(ys)
 
 
 # ----------------------------------------------------------- extensions

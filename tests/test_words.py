@@ -62,6 +62,10 @@ def test_validation():
         Word((1, 3), 3)            # not surjective
     with pytest.raises(WordInvalid):
         Word((1, 2, 3, 1, 2), 3)   # interlaced across a gap
+    for text in ("", "  "):        # the parser refuses the empty word; Word(()) stays
+        with pytest.raises(WordInvalid):
+            parse_word(text)
+    assert Word(()).n == 0 and Word(()).letters == ()
 
 
 def test_degree_and_interposed():
