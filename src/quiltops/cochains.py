@@ -17,14 +17,19 @@ objects x_0..x_p (the p = 0 tuple is (x,)) carries a q-linear map
 from A(x_p) to A(x_0): out is a basis index of A(x_0) and in_1..in_q
 are basis indices of A(x_p).  The matrix {(r, c): v} of a morphism is
 such a map with one input, so composing with it is the substitution
-`_tensor_splice` that also composes two cochain values.  Every sum
-accumulates through the FormalSum constructor; `Cochain._add` adds one
-entry in place.
+`_tensor_splice` that also composes two cochain values.  The constructor
+accumulates entries through the FormalSum constructor and `Cochain._add`
+adds one entry in place; `+` copies the operand with more entries and
+folds the other in by `_add`, and `scale` multiplies the tensors without
+re-accumulating, as a nonzero scalar of ZZ, QQ or GF(p) keeps entries
+nonzero.  Cochains over different rings are never equal or added.
 """
 
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import chain, combinations, product
 
 from .formal import FormalSum
+from .rings import RingError
 from .quilts import Quilt, column_quilt
 from .mquilt import MQuilt, gerstenhaber_element
 from .linfty import P_full
@@ -76,11 +81,14 @@ class Cochain:
     def is_zero(self):
         return not self.data
 
-    def component(self, p, q):
+    def _copy(self, pqs):
+        """The components at pqs, in new dicts."""
         out = Cochain(self.diagram)
-        if (p, q) in self.data:
-            out.data[(p, q)] = {t: dict(T) for t, T in self.data[(p, q)].items()}
+        out.data = {pq: {t: dict(T) for t, T in self.data[pq].items()} for pq in pqs}
         return out
+
+    def component(self, p, q):
+        return self._copy([(p, q)] if (p, q) in self.data else [])
 
     def components(self):
         return [((p, q), self.component(p, q)) for (p, q) in self.bidegrees()]
@@ -93,18 +101,38 @@ class Cochain:
                 for tup, T in comp.items() for idx, v in T.items())
 
     def __add__(self, other):
-        return Cochain(self.diagram, chain(self.entries(), other.entries()))
+        """One pass over the operand with fewer entries: both operands are
+        canonical (nonzero entries, distinct keys), so folding it by `_add`
+        into a copy of the other, with new inner dicts, gives the sum the
+        constructor would, dropping cancelled entries and empty tuples."""
+        if self.ring != other.ring:
+            raise RingError("ring mismatch: %s vs %s" % (self.ring, other.ring))
+        big, small = (self, other) if self._size() >= other._size() else (other, self)
+        out = big._copy(big.data)
+        for entry in small.entries():
+            out._add(*entry)
+        return out
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
+    def _size(self):
+        return sum(len(T) for comp in self.data.values() for T in comp.values())
+
     def scale(self, c):
+        """c times self, tensor by tensor in new dicts: ZZ, QQ and GF(p) have
+        no zero divisors, so no entry vanishes unless c = 0."""
         mul, c = self.ring.mul, self.ring.coerce(c)
-        return Cochain(self.diagram, ((pq, tup, idx, mul(c, v))
-                                      for pq, tup, idx, v in self.entries()))
+        out = Cochain(self.diagram)
+        if not self.ring.is_zero(c):
+            out.data = {pq: {tup: {idx: mul(c, v) for idx, v in T.items()}
+                             for tup, T in comp.items()}
+                        for pq, comp in self.data.items()}
+        return out
 
     def __eq__(self, other):
-        return isinstance(other, Cochain) and self.data == other.data
+        return (isinstance(other, Cochain) and self.ring == other.ring
+                and self.data == other.data)
 
     def __str__(self):
         if self.is_zero():
@@ -135,49 +163,22 @@ def _omega_assignments(word, pvec):
     """All omega weightings: nonnegative letter weights summing per vertex
     to p_a + 1 - (number of occurrences), with a positive letter strictly
     between consecutive occurrences of the same vertex."""
-    n = word.n
-    occ = {a: word.occurrences(a) for a in range(1, n + 1)}
-    budgets = {}
-    for a in range(1, n + 1):
-        s = pvec[a - 1] + 1 - len(occ[a])
-        if s < 0:
-            return
-        budgets[a] = s
-
-    def per_vertex(a):
-        slots = occ[a]
-        comps = []
-
-        def split(i, left, cur):
-            if i == len(slots) - 1:
-                comps.append(cur + [left])
-                return
-            for take in range(left + 1):
-                split(i + 1, left - take, cur + [take])
-
-        split(0, budgets[a], [])
-        return comps
-
-    choices = [per_vertex(a) for a in range(1, n + 1)]
-
-    def rec(a, omega):
-        if a > n:
-            # separation: between consecutive occurrences some positive weight
-            for b in range(1, n + 1):
-                os = occ[b]
-                for i in range(len(os) - 1):
-                    if not any(omega[t] for t in range(os[i] + 1, os[i + 1])):
-                        return
-            yield list(omega)
-            return
-        for comp in choices[a - 1]:
-            for i, t in enumerate(occ[a]):
-                omega[t] = comp[i]
-            yield from rec(a + 1, omega)
-        for t in occ[a]:
-            omega[t] = 0
-
-    yield from rec(1, [0] * len(word.letters))
+    occ = [word.occurrences(a) for a in range(1, word.n + 1)]
+    budgets = [p + 1 - len(os) for p, os in zip(pvec, occ)]
+    if min(budgets) < 0:
+        return
+    # per vertex the weights of its occurrences, in lexicographic order
+    choices = [[c for c in product(range(s + 1), repeat=len(os)) if sum(c) == s]
+               for s, os in zip(budgets, occ)]
+    gaps = [range(os[i] + 1, os[i + 1]) for os in occ for i in range(len(os) - 1)]
+    for combo in product(*choices):
+        omega = [0] * len(word.letters)
+        for os, comp in zip(occ, combo):
+            for t, w in zip(os, comp):
+                omega[t] = w
+        # separation: between consecutive occurrences some positive weight
+        if all(any(omega[t] for t in gap) for gap in gaps):
+            yield omega
 
 
 def _zeta_from_omega(word, omega, pvec):
@@ -199,24 +200,13 @@ def _zeta_from_omega(word, omega, pvec):
 
 def tree_colorings(tree, qvec):
     """Edge labellings: strictly increasing in 1..q_u over the children."""
-    per_vertex = []
-    for u in range(1, tree.n + 1):
-        k = len(tree.children[u])
-        qu = qvec[u - 1]
-        if k > qu:
-            return []
-        per_vertex.append(list(combinations(range(1, qu + 1), k)))
-    out = [{}]
-    for u in range(1, tree.n + 1):
-        new = []
-        for I in out:
-            for pick in per_vertex[u - 1]:
-                J = dict(I)
-                for c, val in zip(tree.children[u], pick):
-                    J[(u, c)] = val
-                new.append(J)
-        out = new
-    return out
+    vertices = range(1, tree.n + 1)
+    if any(len(tree.children[u]) > qvec[u - 1] for u in vertices):
+        return []
+    edges = [(u, c) for u in vertices for c in tree.children[u]]
+    picks = [combinations(range(1, qvec[u - 1] + 1), len(tree.children[u]))
+             for u in vertices]
+    return [dict(zip(edges, chain.from_iterable(pick))) for pick in product(*picks)]
 
 
 def _expand_first(word, omega, a):
@@ -390,23 +380,18 @@ def act(element, args, diagram, max_p=DEFAULT_MAX_P):
 
 def _act_entries(element, args, diagram, max_p):
     ring = diagram.ring
-    mh = m_hat(diagram)
-    for key, coeff in element.items():
-        if isinstance(key, MQuilt):
-            quilt, k = key.quilt, key.marks
-        else:
-            quilt, k = key, 0
+    keys = [(key, coeff, key.quilt, key.marks) if isinstance(key, MQuilt)
+            else (key, coeff, key, 0) for key, coeff in element.items()]
+    # each argument's components, and m_hat's for the marks, once per call
+    expanded = [sorted(f.data.items()) for f in args]
+    marks = sorted(m_hat(diagram).data.items()) if any(m for *_, m in keys) else []
+    for key, coeff, quilt, k in keys:
         if len(args) + k != quilt.n:
             raise ValueError("%s has %d inputs and %d marks: it takes %d "
                              "arguments, got %d" % (key, quilt.n, k, quilt.n - k,
                                                     len(args)))
-        full_args = list(args) + [mh] * k
         # expand components multilinearly
-        combos = [[]]
-        for f in full_args:
-            comps = f.components()
-            combos = [c + [item] for c in combos for item in comps]
-        for combo in combos:
+        for combo in product(*expanded, *[marks] * k):
             pvec = [pq[0] for pq, _ in combo]
             qvec = [pq[1] for pq, _ in combo]
             p_out = sum(pvec) - quilt.degree
@@ -424,10 +409,7 @@ def _act_entries(element, args, diagram, max_p):
             args_degree = sum(shifted_total(pq) for pq, _ in combo[:quilt.n - k])
             e = k * args_degree + k * (k - 1) // 2
             mark_sign = -1 if e % 2 else 1
-            tensors = []
-            for (pq, comp) in combo:
-                data = comp.data.get(pq, {})
-                tensors.append(lambda sk, d=data: d.get(sk))
+            tensors = [comp.get for _, comp in combo]
             for tup in diagram.category.nerve(p_out):
                 for zetas, I, sign in colorings:
                     T = evaluate_coloring(diagram, quilt, zetas, I, tensors,
@@ -479,9 +461,14 @@ def delta_H(f, max_p=DEFAULT_MAX_P):
     """Hochschild coboundary: the action of the column-quilt commutator
     with multiplication in the first slot."""
     diagram = f.diagram
+    return act(_delta_H_element(diagram.ring), [m_hat(diagram), f], diagram, max_p)
+
+
+@lru_cache(maxsize=None)
+def _delta_H_element(ring):
+    """The commutator 12;1(2) - 21;2(1), built once per ring."""
     up = column_quilt()
-    elem = FormalSum(diagram.ring, [(up, 1), (up.permute({1: 2, 2: 1}), -1)])
-    return act(elem, [m_hat(diagram), f], diagram, max_p)
+    return FormalSum(ring, [(up, 1), (up.permute({1: 2, 2: 1}), -1)])
 
 
 def delta_total(f, max_p=DEFAULT_MAX_P):

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import quiltops
 from quiltops import cochains
-from quiltops.rings import QQ, GF, GF2
+from quiltops.rings import ZZ, QQ, GF, GF2
 from quiltops.formal import FormalSum
+from quiltops.mquilt import gerstenhaber_element
 from quiltops.quilts import enumerate_quilts, parse_quilt, identity_quilt
 from quiltops.extensions import boundary, compose
 from quiltops.diagrams import FiniteCategory, DiagramOfAlgebras
@@ -442,6 +443,125 @@ def test_cochain_from_entries_equals_add(ring):
             one_at_a_time._add(*entry)
         assert built == one_at_a_time
         assert all(comp and all(comp.values()) for comp in built.data.values())
+
+
+# ------------------------------------------------------------- arithmetic
+#
+# `+` folds the smaller operand into a copy of the larger one and `scale`
+# multiplies tensor by tensor; the former bodies, which re-accumulated every
+# entry through the constructor, are kept as the reference.
+
+def _add_by_constructor(a, b):
+    """The former body of Cochain.__add__."""
+    return Cochain(a.diagram, itertools.chain(a.entries(), b.entries()))
+
+
+def _scale_by_constructor(a, c):
+    """The former body of Cochain.scale."""
+    mul, c = a.ring.mul, a.ring.coerce(c)
+    return Cochain(a.diagram, ((pq, tup, idx, mul(c, v))
+                               for pq, tup, idx, v in a.entries()))
+
+
+def _snapshot(f):
+    return {pq: {t: dict(T) for t, T in comp.items()} for pq, comp in f.data.items()}
+
+
+def _dict_ids(f):
+    return {id(d) for comp in f.data.values() for d in (comp, *comp.values())}
+
+
+def _seeded_cochain(dia, rng):
+    """Entries drawn from a small key pool, so that two draws share keys."""
+    keys = [((0, 1), ("x",), (0, 1)), ((0, 1), ("x",), (2, 2)),
+            ((0, 1), ("y",), (1, 0)), ((1, 1), ("gamma",), (0, 2)),
+            ((1, 1), ("gamma",), (1, 1)), ((0, 2), ("y",), (1, 1, 0)),
+            ((0, 2), ("x",), (0, 2, 1)), ((1, 0), ("id_y",), (1,))]
+    values = [Fraction(n, d) for n in range(-2, 3) for d in (1, 2)]
+    if dia.ring != QQ:
+        values = list(range(-2, 3))
+    return Cochain(dia, [rng.choice(keys) + (rng.choice(values),)
+                         for _ in range(rng.randrange(10))])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["ZZ", "QQ", "GF2"])
+def test_add_matches_constructor(ring):
+    dia = upper_triangular_to_diagonal(ring)
+    rng = random.Random(24)
+    for _ in range(200):
+        a, b = _seeded_cochain(dia, rng), _seeded_cochain(dia, rng)
+        if rng.random() < 0.2:
+            b = b + a.scale(-1)      # every entry of a cancels
+        before = _snapshot(a), _snapshot(b)
+        got = a + b
+        assert got.data == _add_by_constructor(a, b).data
+        assert all(comp and all(comp.values()) for comp in got.data.values())
+        assert (_snapshot(a), _snapshot(b)) == before
+        assert not _dict_ids(got) & (_dict_ids(a) | _dict_ids(b))
+        assert (a + a.scale(-1)).data == {}
+        assert (a - a).data == {}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["ZZ", "QQ", "GF2"])
+def test_scale_matches_constructor(ring):
+    dia = upper_triangular_to_diagonal(ring)
+    rng = random.Random(25)
+    for _ in range(100):
+        a = _seeded_cochain(dia, rng)
+        before = _snapshot(a)
+        for c in (-2, -1, 0, 1, 2, 3) + ((Fraction(1, 3),) if ring == QQ else ()):
+            got = a.scale(c)
+            assert got.data == _scale_by_constructor(a, c).data, c
+            assert not _dict_ids(got) & _dict_ids(a)
+        assert _snapshot(a) == before
+
+
+def test_cochains_over_different_rings_are_never_equal_or_added():
+    f, g = (Cochain(upper_triangular_to_diagonal(ring), [((0, 1), ("x",), (0, 1), 1)])
+            for ring in (QQ, GF2))
+    assert f.data == g.data
+    assert f != g
+    with pytest.raises(ValueError, match="ring mismatch"):
+        f + g
+    with pytest.raises(ValueError, match="ring mismatch"):
+        g - f
+
+
+def test_mc_residual_matches_add_by_constructor(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    from workloads import mc_inputs
+    stream = [f for seed in (1, 2, 3) for f, _ in mc_inputs(seed)]
+    got = [cochains.mc_residual(f) for f in stream]
+    monkeypatch.setattr(Cochain, "__add__", _add_by_constructor)
+    monkeypatch.setattr(Cochain, "scale", _scale_by_constructor)
+    for f, res in zip(stream, got):
+        assert res.data == cochains.mc_residual(f).data
+    assert sum(res.is_zero() for res in got) == len(stream) // 2
+
+
+def test_delta_H_element_is_built_once_per_ring(cat2_Q, cat2_F2, monkeypatch):
+    seen, act_ = [], cochains.act
+    monkeypatch.setattr(cochains, "act", lambda element, *rest: (
+        seen.append((element, dict(element.terms))), act_(element, *rest))[1])
+    f = random_cochain(cat2_Q, 1, 1, seed=3)
+    assert delta_H(f) == delta_H(f) == act_(
+        FormalSum(QQ, [(parse_quilt("12;1(2)"), 1), (parse_quilt("21;2(1)"), -1)]),
+        [m_hat(cat2_Q), f], cat2_Q)
+    delta_H(random_cochain(cat2_F2, 0, 2, seed=4))
+    (e1, t1), (e2, t2), (e3, _) = seen
+    assert e1 is e2 and e1.ring == QQ and e3.ring == GF2
+    assert t1 == t2 == e1.terms
+    assert e3 is cochains._delta_H_element(GF2)
+
+
+def test_act_builds_m_hat_once_and_only_for_marks(cat2_Q, monkeypatch):
+    built, m_hat_ = [], cochains.m_hat
+    monkeypatch.setattr(cochains, "m_hat", lambda dia: built.append(dia) or m_hat_(dia))
+    f = random_cochain(cat2_Q, 0, 2, seed=6) + random_cochain(cat2_Q, 1, 1, seed=7)
+    act(parse_quilt("12;1(2)"), [f, f], cat2_Q)
+    assert built == []
+    act(gerstenhaber_element("D3", QQ), [f] * 3, cat2_Q)     # keys with 0, 1, 2 marks
+    assert built == [cat2_Q]
 
 
 # ------------------------------------------------------------- contraction
