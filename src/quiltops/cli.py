@@ -8,7 +8,8 @@ runs, as does a --max-arity that leaves nothing to check or a homology
 --arity below 1, so a PASS never hides a skipped or empty suite.  Bad
 input to a calculator (an operand that does not parse or is empty, an
 arity below 1, a degree below 0, an unknown ring, marks outside the
-arity) also exits 2 with one line on stderr.
+arity, rep squaring over a ring not of characteristic 2) also exits 2 with
+one line on stderr.
 """
 
 import argparse
@@ -233,6 +234,8 @@ def _cmd_rep(args):
     except NerveDepthExceeded as e:
         print("rep %s: %s (raise --max-p)" % (args.action, e), file=sys.stderr)
         return 2
+    except RingError as e:
+        return _fail("rep %s" % args.action, e)
     _dump_cochain(res)
     if args.action != "mc":
         return 0

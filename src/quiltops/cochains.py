@@ -626,7 +626,6 @@ def squaring(f, max_p=DEFAULT_MAX_P):
     """Sq(f) = f circle-bar f; over a field of characteristic 2 this
     preserves cocycles and descends to cohomology."""
     ring = f.diagram.ring
-    p = getattr(ring, "p", None)
-    if p != 2:
-        raise ValueError("squaring requires characteristic 2")
+    if getattr(ring, "p", None) != 2:
+        raise RingError("squaring requires characteristic 2, not the ring %r" % ring)
     return circle_bar(f, f, max_p)

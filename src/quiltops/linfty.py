@@ -7,39 +7,66 @@ to first-occurrence order) satisfies the L-infinity relations with the
 word boundary.  Composing with the odd generator gives the marked
 version, and passing to coinvariants gives the unsymmetrized version.
 
-The marked constants are L_n = sum over sigma in S_n of sgn(sigma)
-P_full(n).sigma, which reads 336 maximal quilts of arity 6 at n = 5, not
-241,920.  L0 keeps maximal_quilts: antisymmetrizing P0(5) by Quilt.permute
-takes 0.06 s, its enumeration 0.014 s (2-core x86, Python 3.11).  L1(1) is
-Delta: over S_1 the antisymmetrization is only 21;2(1)[m2].
+The constants are built from first-occurrence parts F(p): L_p = A_p(F(p)),
+where x^pi is x with each label u renamed pi(u) (marks kept) and A_n(x) is
+the sum of sgn(pi) x^pi over S_n.  L_n reads 336 maximal quilts of arity 6
+at n = 5, not 241,920.  L0 keeps maximal_quilts: antisymmetrizing P0(5)
+takes 0.06 s, its enumeration 0.014 s (2-core x86, Python 3.11).  L1(1)
+and L_full(1) are Delta, so F(1) is Delta: A_1 of P0_m(2) marked at slot
+1 is only 21;2(1)[m2].  The relation of arity n, in its shuffle form
+
+  d L_n + sum over p + q = n + 1 of (-1)^{(p-1)q} sum over the
+  (p-1, q)-shuffles s of sgn(s) (L_p o_p L_q)^s,
+
+is A_n(r_n) for the first-occurrence residual
+
+  r_n = d F(n) + sum over p + q = n + 1, slots j = 1..p of eps(p, j)
+        F(p) o_j F(q),   eps(p, j) = (-1)^{(p-1)q + (p-j)(q-1)}.
+
+Proof.  d commutes with relabelling.  Composition is equivariant with no
+sign (the operad axiom; test_operations_commute_with_relabelling):
+x^sigma o_{sigma(j)} y^tau = (x o_j y)^{sigma o_j tau}, where sigma o_j tau
+moves y's q labels as one block to the place of j, permuted by tau.  So
+(F(p)^sigma o_p F(q)^tau)^s = (F(p) o_j F(q))^pi, j = sigma^{-1}(p), pi =
+s (sigma o_j tau).  Fix j: sigma o_j tau puts the block on p..n and the
+rest on 1..p-1, and s increases on both, so pi determines s (by the
+image of p..n), then sigma and tau.  The (p-1)! q! C(n, p-1) = n! triples meet each
+pi once, and over all j they cover S_n exactly p times.  The block passes
+the p - j labels after j, so sgn(pi) = sgn(s) sgn(sigma) sgn(tau)
+(-1)^{(p-j)(q-1)}; with (-1)^{(p-1)q} that is eps(p, j).
+
+eps(p, j), j = 1..p, is (-1)^{p-1} when q is odd, (-1)^{p-j} when q is even:
+n = 3: (2, 2) -+;  n = 4: (2, 3) --, (3, 2) +-+;  n = 5: (2, 4) -+,
+(3, 3) +++, (4, 2) -+-+;  q = 1 (integer route): (-1)^{p-1} in every slot.
+
+  route    F(p), and Delta at p = 1  composition   d               p
+  quilt    P0(p), 0 at p = 1         compose_sums  boundary_sum    2..n-1
+  mquilt   P_full(p) (_P)            mq_compose    boundary_prime  2..n-1
+  integer  P0_m(p+1) o_1 m (_P1)     mq_compose    none            1..n
+
+The residuals are A_n(r_n), and the coinvariant one the quilt r_n in the
+sign-twisted coinvariants.  A_n only relabels keys, as the marked normal
+form commutes with relabelling unmarked labels (mquilt).  r_1 is 0 for
+quilts, boundary_prime(Delta) = 0 marked, and Delta o_1 Delta = 0 on the
+integer route.  The shuffle form is the test oracle _residual_by_shuffles.
 """
 
 from functools import lru_cache
-from itertools import combinations
 
 from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
 from .trees import parity_sign
 from .quilts import Quilt, enumerate_quilts, first_occurrence_quilts
 from .extensions import boundary_sum, compose_sums
-from .mquilt import (MQuilt, _relabel, antisymmetrize, delta_element, from_quilt,
-                     mark, mq_compose, boundary_prime)
+from .mquilt import (antisymmetrize, delta_element, from_quilt, mark, mq_compose,
+                     boundary_prime)
 
 
 def maximal_quilts(n):
-    """All quilts of arity n and degree n-2 (empty below arity 2).
-
-    Their words all have the shape a b ... b with a the root and b a
-    repeated leaf.
-    """
-    if n < 2:
-        return []
-    out = enumerate_quilts(n, n - 2)
-    for q in out:
-        w = q.word.letters
-        assert w[0] == q.tree.root and w[-1] == w[1]
-        assert not q.tree.children[w[1]]
-    return out
+    """All quilts of arity n and degree n-2 (empty below arity 2).  Their
+    words all have the shape a b ... b with a the root and b a leaf
+    (test_maximal_census)."""
+    return enumerate_quilts(n, n - 2) if n >= 2 else []
 
 
 def sgn_K(q):
@@ -65,127 +92,92 @@ def P0(n, ring=ZZ):
 
 @lru_cache(maxsize=None)
 def P0_m(n, ring=ZZ):
-    """P0 as a sum of unmarked basis elements of the marked operad.
-
-    Built once per (n, ring): every caller gets the same FormalSum, which
-    must not be mutated in place.
-    """
+    """P0 as a sum of unmarked basis elements of the marked operad; built
+    once per (n, ring), so every caller shares it and must not mutate it."""
     return P0(n, ring).map_keys(from_quilt)
 
 
 @lru_cache(maxsize=None)
 def P_full(n, ring=ZZ):
-    """P_n = P0_n + P0_{n+1} o_1 m, the unsymmetrized L_n.
-
-    Built once per (n, ring): every caller gets the same FormalSum, which
-    must not be mutated in place.
-    """
+    """P_n = P0_n + P0_{n+1} o_1 m, the unsymmetrized L_n; built once per
+    (n, ring), so every caller shares it and must not mutate it."""
     return combine(P0_m(n, ring), mark(P0_m(n + 1, ring), 1))
+
+
+def _P1(n, ring=ZZ):
+    """L1(n)'s first-occurrence part: Delta at n = 1, else P0_m(n+1) o_1 m."""
+    return delta_element(ring) if n == 1 else mark(P0_m(n + 1, ring), 1)
+
+
+def _P(n, ring=ZZ):
+    """L_full(n)'s first-occurrence part: Delta at n = 1, else P_full(n)."""
+    return delta_element(ring) if n == 1 else P_full(n, ring)
 
 
 def L1(n, ring=ZZ):
     """L0 of arity n+1 with slot 1 marked, that is, composed with m there."""
-    if n == 1:
-        return delta_element(ring)
-    return antisymmetrize(mark(P0_m(n + 1, ring), 1), n)
+    return antisymmetrize(_P1(n, ring), n)
 
 
 def L_full(n, ring=ZZ):
     """L_n = L0_n + L1_n in the marked operad (L_1 is the Delta element)."""
-    if n == 1:
-        return delta_element(ring)
-    return antisymmetrize(P_full(n, ring), n)
+    return antisymmetrize(_P(n, ring), n)
 
 
-def shuffles(p, q):
-    """The (p, q)-shuffles sigma of p+q letters, increasing on 1..p and on
-    p+1..p+q, each as the label array (0, sigma(1), ..., sigma(p+q)) that
-    Word.relabel takes, with its sign (the parity of its inversions)."""
-    n = p + q
-    for first_block in combinations(range(1, n + 1), p):
-        image = first_block + tuple(x for x in range(1, n + 1) if x not in first_block)
-        yield (0,) + image, parity_sign(image)
+def _slot_pieces(n, route, ring=ZZ):
+    """The pieces of r_n for a route ("quilt", "mquilt" or "integer"): d F(n)
+    if the route has d, then for each p the sum over the slots j of
+    eps(p, j) F(p) o_j F(q).  The module docstring gives the table."""
+    F, compose, d, least = {"quilt": (P0, compose_sums, boundary_sum, 2),
+                            "mquilt": (_P, mq_compose, boundary_prime, 2),
+                            "integer": (_P1, mq_compose, None, 1)}[route]
+    if d is not None:
+        yield d(F(n, ring))
+    for p in range(least, n + 2 - least):
+        q = n + 1 - p
+        x, y = F(p, ring), F(q, ring)
+        yield linear_combination(ring, (
+            (-1 if ((p - 1) * q + (p - j) * (q - 1)) % 2 else 1, compose(x, j, y))
+            for j in range(1, p + 1)))
 
 
-def _shuffled(base, p, q, relabel):
-    """The (c, term) pairs sgn_pq * sign * base relabelled over the
-    (p-1, q)-shuffles, each key x by relabel(x, new): label u becomes sigma(u)."""
-    sgn_pq = -1 if ((p - 1) * q) % 2 else 1
-    for new, sg in shuffles(p - 1, q):
-        yield sgn_pq * sg, base.map_keys(lambda x: relabel(x, new))
-
-
-def _relabel_marked(x, new):
-    """x with its unmarked labels renamed by new; its marks keep theirs."""
-    return _relabel(x, new + tuple(range(len(new), x.quilt.n + 1)))
+def _slot_sum(n, route, ring=ZZ):
+    """The first-occurrence residual r_n of a route: its pieces summed."""
+    return linear_combination(ring, ((1, piece) for piece in _slot_pieces(n, route, ring)))
 
 
 def linfty_residual_quilt(n, ring=ZZ):
-    """d L0_n + sum over p+q=n+1 and shuffles of the signed compositions,
-    relabelled by the shuffle; zero by the structure theorem."""
-    def terms():
-        if n >= 2:
-            yield 1, boundary_sum(L0(n, ring))
-        for p in range(2, n):
-            q = n + 1 - p
-            base = compose_sums(L0(p, ring), p, L0(q, ring))
-            yield from _shuffled(base, p, q, Quilt.relabel)
-    return linear_combination(ring, terms())
+    """d L0_n + the signed shuffled compositions L0_p o_p L0_q, as
+    A_n(r_n); zero by the structure theorem."""
+    return antisymmetrize(_slot_sum(n, "quilt", ring), n)
 
 
 def linfty_residual_mquilt(n, ring=ZZ):
     """Same with L_n and the extended boundary in the marked operad."""
-    def terms():
-        yield 1, boundary_prime(L_full(n, ring))
-        for p in range(2, n):
-            q = n + 1 - p
-            base = mq_compose(L_full(p, ring), p, L_full(q, ring))
-            yield from _shuffled(base, p, q, _relabel_marked)
-    return linear_combination(ring, terms())
-
-
-def _delta_L1(n, ring=ZZ):
-    """mq_compose(L1(1), 1, L1(n)) for n >= 2 from L1(n)'s first-occurrence
-    part: composing into Delta's one slot commutes with relabelling inside."""
-    return antisymmetrize(mq_compose(delta_element(ring), 1, mark(P0_m(n + 1, ring), 1)), n)
+    return antisymmetrize(_slot_sum(n, "mquilt", ring), n)
 
 
 def linfty_residual_integer_route(n, ring=ZZ):
     """The characteristic-free cross-check: the marked-marked compositions
     sum to zero on the nose, without dividing by two.  Unlike the main
-    relation, arity-one factors (where L1_1 is the Delta element)
-    participate here; the p = 1 term is _delta_L1."""
-    def terms():
-        for p in range(1, n + 1):
-            q = n + 1 - p
-            if p == 1 and n > 1:
-                yield 1, _delta_L1(n, ring)
-            else:
-                yield from _shuffled(mq_compose(L1(p, ring), p, L1(q, ring)), p, q,
-                                     _relabel_marked)
-    return linear_combination(ring, terms())
+    relation, arity-one factors (L1_1 is Delta) participate here."""
+    return antisymmetrize(_slot_sum(n, "integer", ring), n)
 
 
 def coinvariant_reduce(s):
-    """Image in the coinvariants twisted by sign: each quilt is sent to
-    its first-occurrence-labelled representative times the sign of the
-    relabelling; orbits with odd stabilizer sign die."""
-    def term(x, c):
-        q = x.quilt if isinstance(x, MQuilt) else x
+    """Image of a sum of quilts in the coinvariants twisted by sign: each
+    quilt is sent to its first-occurrence-labelled representative times the
+    sign of the relabelling; orbits with odd stabilizer sign die."""
+    def term(q, c):
+        if not isinstance(q, Quilt):
+            raise TypeError("coinvariant_reduce takes quilts, not %s" % (q,))
         down = q.word.down_order()
-        return q.permute({i + 1: v for i, v in enumerate(down)}), c * parity_sign(down)
+        return q.permute(down), c * parity_sign(down)
 
     return FormalSum(s.ring, (term(x, c) for x, c in s.terms.items()))
 
 
 def linfty_residual_coinvariant(n, ring=ZZ):
-    """d P0_n + sum over p+q=n+1 and slots j of the signed compositions
-    P0_p o_j P0_q, reduced into the sign-twisted coinvariants."""
-    def terms():
-        yield 1, boundary_sum(P0(n, ring))
-        for p in range(2, n):
-            q = n + 1 - p
-            for j in range(1, p + 1):
-                e = ((p - 1) * q + (p - j) * (q - 1)) % 2
-                yield (-1 if e else 1), compose_sums(P0(p, ring), j, P0(q, ring))
-    return coinvariant_reduce(linear_combination(ring, terms()))
+    """The quilt route's r_n = d P0_n + the signed compositions P0_p o_j
+    P0_q, reduced into the sign-twisted coinvariants."""
+    return coinvariant_reduce(_slot_sum(n, "quilt", ring))

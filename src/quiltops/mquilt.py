@@ -92,6 +92,11 @@ class MQuilt:
     def key(self):
         return self._key
 
+    def relabel(self, new):
+        """The key with every label u renamed new[u], by the relabelling
+        lemma (quilts); new must fix the marks."""
+        return MQuilt(self.quilt.relabel(new), self.marks)
+
     def sort_key(self):
         return (self.arity, self.marks, self.quilt.sort_key())
 
@@ -308,11 +313,6 @@ def _component_echelon(start):
     return echelon
 
 
-def _relabel(key, new):
-    """key with every label u renamed new[u], by the relabelling lemma (quilts)."""
-    return MQuilt(key.quilt.relabel(new), key.marks)
-
-
 def _canonical(key):
     """(canon, to, back): canon is key() of key with its unmarked labels
     renamed 1, 2, ..., a in order of first occurrence, to[label] that
@@ -334,7 +334,7 @@ def _normal_form_of_key(key):
     canon, to, back = _canonical(key)
     nf = _NORMAL_FORMS.get(canon)
     if nf is None:
-        ckey = key if to is None else _relabel(key, to)
+        ckey = key if to is None else key.relabel(to)
         row = _component_echelon(ckey).get(ckey)
         nf = _NORMAL_FORMS[canon] = {ckey: 1} if row is None else {
             m: -c for m, c in row.terms.items() if m != ckey}
@@ -342,7 +342,7 @@ def _normal_form_of_key(key):
         return nf
     if len(nf) == 1 and next(iter(nf)).key() == canon:
         return {key: 1}
-    return {_relabel(m, back): c for m, c in nf.items()}
+    return {m.relabel(back): c for m, c in nf.items()}
 
 
 def _reduce(sum_):
@@ -439,14 +439,18 @@ def mq_boundary(xs):
 
 def mq_permute(xs, sigma):
     """Right action of a permutation of the unmarked slots (label u becomes
-    sigma^{-1}(u)): on a sum in normal form, a relabelling of its keys."""
+    sigma^{-1}(u)) on a sum of quilts or of marked quilts in normal form: a
+    relabelling of its keys, which keeps the marks."""
     pairs = sigma.items() if isinstance(sigma, dict) else enumerate(sigma, 1)
     inv = {su: u for u, su in pairs}
-    return xs.map_keys(lambda x: _relabel(x, [inv.get(v, v) for v in range(x.quilt.n + 1)]))
+    top = max(((x.quilt if isinstance(x, MQuilt) else x).n for x in xs.terms), default=0)
+    new = [inv.get(v, v) for v in range(top + 1)]
+    return xs.map_keys(lambda x: x.relabel(new))
 
 
 def antisymmetrize(xs, n):
-    """The sum of sgn(sigma) mq_permute(xs, sigma) over sigma in S_n."""
+    """The sum of sgn(sigma) mq_permute(xs, sigma) over sigma in S_n, for a
+    sum of quilts or of marked quilts."""
     return linear_combination(xs.ring, ((parity_sign(p), mq_permute(xs, p))
                                         for p in permutations(range(1, n + 1))))
 

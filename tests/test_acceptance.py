@@ -171,7 +171,7 @@ def test_criterion_7_linfty():
 def test_criterion_7_deep_mquilt_arity5():
     t0 = time.time()
     assert linfty_residual_mquilt(5).is_zero()
-    report("7d mquilt L-infinity n=5", t0, 40)
+    report("7d mquilt L-infinity n=5", t0, 10)
 
 
 def test_criterion_8_representation_laws():

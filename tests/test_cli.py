@@ -245,6 +245,17 @@ def test_rep_squaring(tmp_path, capsys):
     assert code == 0
 
 
+def test_rep_squaring_outside_characteristic_2_exits_2(tmp_path, capsys):
+    p = tmp_path / "dia.txt"
+    p.write_text(DIAGRAM.replace("ring F2", "ring Q"))
+    c = tmp_path / "cochain.txt"
+    c.write_text("0 1 x : 0 0 1\n")
+    code, out, err = run(["rep", "squaring", "--diagram", str(p),
+                          "--cochain", str(c)], capsys)
+    assert code == 2
+    assert out == "" and "characteristic 2" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("ring", [QQ, GF2], ids=["QQ", "GF2"])
 def test_cochain_dump_load_roundtrip(tmp_path, ring):
     # what rep prints reloads as the same cochain, the zero cochain too

@@ -3,16 +3,16 @@ import itertools
 import pytest
 
 from quiltops import linfty, quilts
-from quiltops.extensions import compose_sums
+from quiltops.extensions import boundary_sum, compose_sums
 from quiltops.formal import FormalSum, combine, linear_combination
 from quiltops.rings import ZZ, QQ, GF2
 from quiltops.linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0,
-                             P0_m, P_full, shuffles, linfty_residual_quilt,
+                             P0_m, P_full, linfty_residual_quilt,
                              linfty_residual_mquilt, linfty_residual_coinvariant,
                              linfty_residual_integer_route, coinvariant_reduce)
 from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt
-from quiltops.mquilt import (from_quilt, m_element, mark, mq_compose, delta_element,
-                             gerstenhaber_element, mq_permute, boundary_prime)
+from quiltops.mquilt import (MQuilt, from_quilt, m_element, mark, mq_compose, delta_element,
+                             gerstenhaber_element, mq_permute, boundary_prime, antisymmetrize)
 
 
 def sgn_of(p):
@@ -23,7 +23,7 @@ def sgn_of(p):
 
 def test_maximal_census():
     assert maximal_quilts(1) == []
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         ms = maximal_quilts(n)
         assert ms == enumerate_quilts(n, n - 2)
         for q in ms:
@@ -33,6 +33,7 @@ def test_maximal_census():
     assert len(maximal_quilts(2)) == 2
     assert len(maximal_quilts(3)) == 6
     assert len(maximal_quilts(4)) == 96
+    assert len(maximal_quilts(5)) == 3600
 
 
 def test_maximal_word_shape_n3():
@@ -149,7 +150,7 @@ def test_L0_symmetrizes_P0():
         rhs = linear_combination(ZZ, [
             (sgn_of(p), p0.map_keys(lambda q, p=p: q.permute(p)))
             for p in itertools.permutations(range(1, n + 1))])
-        assert L0(n) == rhs, n
+        assert L0(n) == rhs == antisymmetrize(p0, n), n
 
 
 def test_P_full_matches_gerstenhaber_P2():
@@ -202,14 +203,54 @@ def test_constants_enumerate_first_occurrence_quilts_only(monkeypatch):
     assert got == (_L_full_by_marking(4, ZZ), _L1_by_composition(4, ZZ))
 
 
+def shuffles(p, q):
+    """The (p, q)-shuffles sigma of p+q letters, increasing on 1..p and on
+    p+1..p+q, each as the label array (0, sigma(1), ..., sigma(p+q)) that
+    Word.relabel takes, with its sign (the parity of its inversions)."""
+    n = p + q
+    for first_block in itertools.combinations(range(1, n + 1), p):
+        image = first_block + tuple(x for x in range(1, n + 1) if x not in first_block)
+        yield (0,) + image, sgn_of(image)
+
+
+def _shuffled(base, p, q, relabel):
+    """The (c, term) pairs sgn_pq * sign * base relabelled over the
+    (p-1, q)-shuffles, each key x by relabel(x, new): label u becomes sigma(u)."""
+    sgn_pq = -1 if ((p - 1) * q) % 2 else 1
+    for new, sg in shuffles(p - 1, q):
+        yield sgn_pq * sg, base.map_keys(lambda x: relabel(x, new))
+
+
+def _relabel_marked(x, new):
+    """x with its unmarked labels renamed by new; its marks keep theirs."""
+    return x.relabel(new + tuple(range(len(new), x.quilt.n + 1)))
+
+
+def _residual_by_shuffles(n, route, ring=ZZ):
+    """Oracle for linfty._slot_pieces: the pieces of the relation in its
+    shuffle form, d L_n and, for each p, the (p-1, q)-shuffles of the signed
+    L_p o_p L_q, built from the full antisymmetrized constants (L1(1) and
+    L_full(1) are Delta)."""
+    L, compose, d, least = {"quilt": (L0, compose_sums, boundary_sum, 2),
+                            "mquilt": (L_full, mq_compose, boundary_prime, 2),
+                            "integer": (L1, mq_compose, None, 1)}[route]
+    relabel = Quilt.relabel if route == "quilt" else _relabel_marked
+    pieces = [] if d is None else [d(L(n, ring))]
+    for p in range(least, n + 2 - least):
+        q = n + 1 - p
+        base = compose(L(p, ring), p, L(q, ring))
+        pieces.append(linear_combination(ring, _shuffled(base, p, q, relabel)))
+    return pieces
+
+
 def test_shuffles():
     assert [new for new, _ in shuffles(1, 2)] == [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
     assert sorted(s for _, s in shuffles(2, 2)) == [-1, -1, 1, 1, 1, 1]
 
 
 def _shuffled_by_inverse(base, p, q, permute):
-    """Oracle for linfty._shuffled: each shuffle as a dict, inverted, and
-    handed to a right action that inverts it back."""
+    """Oracle for _shuffled: each shuffle as a dict, inverted, and handed to
+    a right action that inverts it back."""
     sgn_pq = -1 if ((p - 1) * q) % 2 else 1
     n = p - 1 + q
     for first in itertools.combinations(range(1, n + 1), p - 1):
@@ -220,37 +261,54 @@ def _shuffled_by_inverse(base, p, q, permute):
 
 def test_shuffled_matches_inverse_permutation_oracle():
     # the same terms in the same insertion order as relabelling through
-    # the inverse shuffle, for both residuals' compositions up to arity 4
-    def quilt_permute(s, inv):
-        return s.map_keys(lambda x: x.permute(inv))
-
+    # the inverse shuffle, for every route's compositions up to arity 4
     for n in range(2, 5):
         for p in range(2, n):
             q = n + 1 - p
-            for base, relabel, permute in (
-                    (compose_sums(L0(p), p, L0(q)), Quilt.relabel, quilt_permute),
-                    (mq_compose(L_full(p), p, L_full(q)), linfty._relabel_marked, mq_permute),
-                    (mq_compose(L1(p), p, L1(q)), linfty._relabel_marked, mq_permute)):
-                got = [(c, list(t.terms.items()))
-                       for c, t in linfty._shuffled(base, p, q, relabel)]
+            for base, relabel in ((compose_sums(L0(p), p, L0(q)), Quilt.relabel),
+                                  (mq_compose(L_full(p), p, L_full(q)), _relabel_marked),
+                                  (mq_compose(L1(p), p, L1(q)), _relabel_marked)):
+                got = [(c, list(t.terms.items())) for c, t in _shuffled(base, p, q, relabel)]
                 want = [(c, list(t.terms.items()))
-                        for c, t in _shuffled_by_inverse(base, p, q, permute)]
+                        for c, t in _shuffled_by_inverse(base, p, q, mq_permute)]
                 assert got == want, (n, p)
 
 
-def _delta_L1_by_composition(n, ring=ZZ):
-    """Oracle for _delta_L1: Delta composed with every term of L1(n)."""
-    return mq_compose(L1(1, ring), 1, L1(n, ring))
+RESIDUALS = {"quilt": linfty_residual_quilt, "mquilt": linfty_residual_mquilt,
+             "integer": linfty_residual_integer_route}
 
 
-def test_delta_L1_matches_direct_composition():
-    for n in range(2, 5):
-        assert linfty._delta_L1(n) == _delta_L1_by_composition(n), n
+def _assert_slot_pieces_match_shuffle_oracle(n, ring):
+    nonzero = 0
+    for route, residual in RESIDUALS.items():
+        got = [antisymmetrize(x, n) for x in linfty._slot_pieces(n, route, ring)]
+        want = _residual_by_shuffles(n, route, ring)
+        assert got == want, (n, route, ring)
+        assert residual(n, ring) == linear_combination(ring, ((1, w) for w in want))
+        nonzero += sum(not w.is_zero() for w in want)
+    return nonzero
+
+
+def test_slot_pieces_match_shuffle_oracle():
+    # A_n of each piece of r_n (the boundary piece and one piece per p) is
+    # the same sum as the piece of the shuffle form; at arity 1 both are
+    # d of Delta or nothing, and only Delta o_1 Delta composes
+    for ring in (ZZ, QQ, GF2):
+        counts = [_assert_slot_pieces_match_shuffle_oracle(n, ring) for n in range(1, 5)]
+        assert counts == [0, 2, 7, 10], ring
 
 
 @pytest.mark.deep
-def test_delta_L1_5_matches_direct_composition():
-    assert linfty._delta_L1(5) == _delta_L1_by_composition(5)
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["ZZ", "QQ", "GF2"])
+def test_slot_pieces_5_match_shuffle_oracle(ring):
+    assert _assert_slot_pieces_match_shuffle_oracle(5, ring) == 13
+
+
+def test_residuals_vanish_at_arity_1():
+    for ring in (ZZ, QQ, GF2):
+        for residual in (linfty_residual_quilt, linfty_residual_mquilt,
+                         linfty_residual_integer_route, linfty_residual_coinvariant):
+            assert residual(1, ring).is_zero(), (residual.__name__, ring)
 
 
 def test_residual_quilt():
@@ -294,6 +352,15 @@ def test_coinvariant_reduce():
     r = coinvariant_reduce(s)
     assert [str(k) for k in r.keys()] == ["1232;1(3,2)"]
     assert list(r.terms.values()) == [2]
+
+
+def test_coinvariant_reduce_refuses_marked_keys():
+    # the sign-twisted reduction is defined on quilts; a marked key (marked
+    # or not) is refused by name, not merged into a wrong quilt
+    q = parse_quilt("412131;4(2(3),1)")
+    s = FormalSum(ZZ, [(MQuilt(q, 1), 1), (MQuilt(q, 0), 1)])
+    with pytest.raises(TypeError, match=r"412131;4\(2\(3\),1\)"):
+        coinvariant_reduce(s)
 
 
 def test_residual_mquilt_arity4():

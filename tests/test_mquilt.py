@@ -22,6 +22,7 @@ from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
                              _reduce, _canonical)
 from quiltops import linfty
 from quiltops.linfty import L0, L_full, P_full, linfty_residual_mquilt
+from test_linfty import _residual_by_shuffles
 
 GERSTENHABER_NAMES = ("M2", "P2", "L2", "P3'", "L3", "C3", "D3")
 
@@ -486,9 +487,9 @@ def _first_occurrence_map(key):
 def test_normal_forms_match_reduction_oracle(monkeypatch):
     # the reduced echelon gives the normal form of the old reduction loop
     # on every first-occurrence key the identities and the relations up to
-    # arity 4 reach, starting from empty memo tables, and every other key
-    # reached gets the normal form of its first-occurrence relabelling,
-    # relabelled back
+    # arity 4 reach, by the slot sum and by the shuffle oracle, starting from
+    # empty memo tables, and every other key reached gets the normal form of
+    # its first-occurrence relabelling, relabelled back
     _families.cache_clear()
     mquilt._ECHELONS.clear()
     mquilt._NORMAL_FORMS.clear()
@@ -506,6 +507,9 @@ def test_normal_forms_match_reduction_oracle(monkeypatch):
         assert verify_identity(name).is_zero(), name
     for n in (2, 3, 4):
         assert linfty_residual_mquilt(n).is_zero(), n
+    for n in (2, 3, 4):
+        pieces = _residual_by_shuffles(n, "mquilt")
+        assert linear_combination(ZZ, ((1, x) for x in pieces)).is_zero(), n
     monkeypatch.undo()
     # only first-occurrence keys are stored, in these numbers from empty;
     # how faces are summed must not change which keys the normal form visits
@@ -513,13 +517,13 @@ def test_normal_forms_match_reduction_oracle(monkeypatch):
     assert all(first(key) for key in mquilt._ECHELONS)
     assert all(first(MQuilt(Quilt(Word(letters, n), Tree(*tree)), marks))
                for ((n, letters), (_, *tree)), marks in mquilt._NORMAL_FORMS)
-    assert len(mquilt._ECHELONS) == 134
-    assert len(mquilt._NORMAL_FORMS) == 127
-    assert _families.cache_info().currsize == 134
+    assert len(mquilt._ECHELONS) == 136
+    assert len(mquilt._NORMAL_FORMS) == 129
+    assert _families.cache_info().currsize == 136
     for key in list(mquilt._ECHELONS):
         assert _normal_form_of_key(key) == _normal_form_by_reduction(key), key
     others = [key for key in reached if not first(key)]
-    assert (len(reached), len(others)) == (1537, 1429)
+    assert (len(reached), len(others)) == (1563, 1441)
     for key in others:
         sigma = _first_occurrence_map(key)
         back = {v: u for u, v in sigma.items()}
