@@ -19,7 +19,7 @@ checked against every placement of the marked letters.  Relabelling the
 marks costs the sign of the permutation, the generator being odd.
 _prenormal ranks the class words by the tuple (mark positions, relabelled
 letters, parent, children) and builds only the smallest; its docstring
-says why the tree is ranked and checked before the input is reused.
+says why the tree is ranked and when the input quilt comes back.
 
 Relabelling the unmarked labels costs no sign and commutes with the
 normal form, so the memo tables hold one first-occurrence key per orbit
@@ -41,20 +41,24 @@ the quilt of x with label a added to its marks; the sign
 directly, without composing anything.
 
 R1 is reduced on components: the closure of a key under membership in
-the redistribution families of _families.  Each component keeps one
-fully reduced echelon over QQ, led by the largest key (by sort_key) of
-each row, with every leader cleared from every other row.  A leader's
-normal form is then minus the rest of its row, and any other key is its
-own normal form.  That is the normal form modulo the row space: the
-leaders of a row space under a total order do not depend on the order
-the rows were added in, and a vector modulo the row space has exactly
-one representative free of leaders.  Every member of a component has
-the whole component as its closure, so the order in which keys are
-visited cannot change which echelon a key gets.
-
-The rewriting rules are the ones the computations in low arity actually
-use; they are not proven confluent, so a nonzero residual may mean "not
-reducible by the implemented rules" rather than "nonzero in the operad".
+its redistribution families.  A family is built from its signature
+(_signatures), the contracted marked quilt: the first adjacent class word
+without v, the tree with v merged into u, and u, with the marks renamed in
+first-occurrence order.  _prenormal sees the names of the marks only
+through its sign, so members with one signature give one relation up to
+sign, and _families, keyed by signature, builds each relation once.  Each
+component keeps one fully reduced echelon over QQ, led by the largest key
+(by sort_key) of each row, with every leader cleared from every other row.
+A leader's normal form is then minus the rest of its row, and any other
+key is its own normal form.  That is the normal form modulo the row space:
+the leaders of a row space under a total order do not depend on the order
+the rows were added in, and a vector modulo the row space has exactly one
+representative free of leaders.  Every member of a component has the whole
+component as its closure, so the order in which keys are visited cannot
+change which echelon a key gets.  Each family is a relation, so a zero
+residual is zero.  A nonzero one could still be zero in the operad if a
+family from a later adjacent class word left the row space; that is tested
+only on the keys the identities and the relations through arity 4 reach.
 """
 
 from functools import lru_cache
@@ -64,7 +68,7 @@ from .formal import FormalSum, combine, linear_combination
 from .rings import QQ, ZZ
 from .trees import Tree, parity_sign
 from .words import Word
-from .quilts import Quilt, check_axioms, column_quilt, identity_quilt
+from .quilts import Quilt, column_quilt, identity_quilt
 from .extensions import _built, _faces, check_slot, compose
 
 
@@ -145,18 +149,21 @@ def _legal_gaps(tree, letters, x):
 def _class_words(tree, word, mset):
     """All valid words in the reposition class of the marked letters, in
     the order of inserting the marks ascending, each at every gap left to
-    right (_families takes the first adjacent word).  Only legal gaps are
-    tried, and every word made is still fully validated."""
+    right (_signatures takes the first adjacent word).
+
+    Class-word lemma: drop the marks from a quilt's word and insert each
+    once, in turn, at a gap _legal_gaps allows.  The word stays surjective
+    and free of interlacing, and both axioms hold: on unmarked letters, whose
+    occurrences keep their order, and on a pair with a mark, by the gap
+    chosen for the later one.  Only a repeat can fail, two equal unmarked
+    letters left adjacent by the marks, and only that is tested.
+    """
     out = []
 
     def place(letters, marks):
         if not marks:
-            try:
-                w = Word(letters, tree.n)
-                check_axioms(w, tree)
-            except ValueError:
-                return
-            out.append(w)
+            if all(a != b for a, b in zip(letters, letters[1:])):
+                out.append(Word._unchecked(letters, tree.n))
             return
         x = marks[0]
         for i in _legal_gaps(tree, letters, x):
@@ -177,10 +184,12 @@ def _prenormal(quilt, mset):
     Only the smallest class word by (mark positions, relabelled letters,
     parent, children) is built, with the unmarked labels named in order of
     first occurrence (the same in every class word) so that the winner
-    commutes with relabelling them.  The tree, relabelled only on a tie and
-    for the winner, breaks ties on the letters (1,464 of the 11,263 quilts of
-    arity <= 4 with 1-3 marks; 684 change winner); the input quilt is reused
-    only if its tree comes back too: equal letters keep a wrong tree 113 times.
+    commutes with relabelling them.  The tree, relabelled only on a tie,
+    breaks ties on the letters (1,464 of the 11,263 quilts of
+    arity <= 4 with 1-3 marks; 684 change winner).  The winner is its class
+    quilt, a quilt by the class-word lemma, renamed by the relabelling lemma
+    (quilts).  A planar tree has no automorphism, so that is the input quilt
+    exactly when the renaming is the identity and the word is the input's.
     """
     word, tree = quilt.word, quilt.tree
     for v in mset:
@@ -206,75 +215,65 @@ def _prenormal(quilt, mset):
             new[v] = top + 1 + i
         rank = (tuple(i for i, x in enumerate(w.letters) if x in mset),
                 tuple(new[x] for x in w.letters))
-        if best is None or rank < best[0]:
-            best = (rank, down, w, new[:], None)
-        elif rank == best[0]:    # a tie: the relabelled trees decide
-            shape, least = tree.relabelled(new), best[4] or tree.relabelled(best[3])
-            best = (rank, down, w, None, shape) if shape < least else best[:4] + (least,)
-    (_, letters), down, w, names, shape = best
-    order = sorted(unmarked)
-    if unmarked != order:        # the winner, unmarked labels kept in order
-        for i, v in enumerate(order + down):
-            new[v] = i + 1
-        letters, shape = tuple(new[x] for x in w.letters), tree.relabelled(new)
-    parent, children = shape or tree.relabelled(names)
-    if (N, parent, children) != tree.key():
-        tree = Tree(parent, children)
-    if tree is not quilt.tree or letters != word.letters:
-        quilt = Quilt(Word(letters, N), tree)
+        if (best is None or rank < best[0] or rank == best[0]    # a tie: the trees decide
+                and tree.relabelled(new) < tree.relabelled(best[3])):
+            best = (rank, down, w, new[:])
+    down, w = best[1:3]
+    for i, v in enumerate(sorted(unmarked) + down):    # unmarked labels kept in order
+        new[v] = i + 1
+    if new != list(range(N + 1)):
+        quilt = Quilt._unchecked(w, tree).relabel(new)
+    elif w.letters != word.letters:
+        quilt = Quilt._unchecked(w, tree)
     return MQuilt(quilt, len(mset)), parity_sign([down.index(v) for v in sorted(mset)])
 
 
-@lru_cache(maxsize=None)
-def _families(key):
-    """All redistribution relations led by elements of key's orbit.
-
-    For each marked edge (u, v) of key that can be made word-adjacent,
-    the family collapses u, v to one vertex and re-expands: u keeps a
-    prefix and suffix of the combined children around v, v keeps the
-    middle block.  Each family is returned as a tuple of (member, sign)
-    prenormal pairs whose sum is zero in the operad.
-    """
-    quilt = key.quilt
-    tree, word = quilt.tree, quilt.word
-    mset = frozenset(key.marked())
-    out = []
-    edges = [(u, v) for u in sorted(mset) for v in tree.children[u] if v in mset]
-    words = _class_words(tree, word, mset) if edges else ()
+def _signatures(key):
+    """The signature of the R1 family of each marked edge (u, v) of key that
+    a class word makes adjacent, with v named N (see the module docstring)."""
+    quilt, top = key.quilt, key.arity
+    tree, N = quilt.tree, quilt.n
+    edges = [(u, v) for u in range(top + 1, N + 1) for v in tree.children[u] if v > top]
+    words = _class_words(tree, quilt.word, key.marked()) if edges else ()
     for u, v in edges:
-        adjacent = None
-        for w in words:
-            ls = w.letters
-            iu = ls.index(u)
-            if iu + 1 < len(ls) and ls[iu + 1] == v:
-                adjacent = w
-                break
-        if adjacent is None:
+        ls = next((w.letters for w in words if (u, v) in zip(w.letters, w.letters[1:])), None)
+        if ls is None:
             continue
-        kids_u = list(tree.children[u])
-        iv = kids_u.index(v)
-        combined = kids_u[:iv] + list(tree.children[v]) + kids_u[iv + 1:]
-        r = len(combined)
-        members = []
-        for i in range(r + 1):
-            for j in range(i, r + 1):
-                new_u = combined[:i] + [v] + combined[j:]
-                new_v = combined[i:j]
-                parent = list(tree.parent)
-                children = [list(c) for c in tree.children]
-                children[u] = new_u
-                children[v] = new_v
-                for c in new_u:
-                    parent[c] = u
-                for c in new_v:
-                    parent[c] = v
-                t2 = Tree(tuple(parent), tuple(tuple(c) for c in children))
-                q2 = Quilt(adjacent, t2)
-                pre = _prenormal(q2, mset)
-                if pre is not None:
-                    members.append(pre)
-        out.append(tuple(members))
-    return tuple(out)
+        letters = tuple(x for x in ls if x != v)
+        new = list(range(N + 1))
+        for i, x in enumerate(x for x in letters if x > top):
+            new[x] = top + 1 + i
+        new[v] = N
+        parent, children = map(list, tree.relabelled(new))
+        u = new[u]
+        i = children[u].index(N)
+        children[u] = children[u][:i] + children[N] + children[u][i + 1:]
+        for c in children[N]:
+            parent[c] = u
+        yield top, tuple(new[x] for x in letters), tuple(parent[:N]), tuple(children[:N]), u
+
+
+@lru_cache(maxsize=None)
+def _families(signature):
+    """The R1 family of a signature as the prenormal (member, sign) pairs
+    of a zero sum: u keeps a prefix and suffix of its children around its
+    new child N, placed right after u in the word, and N the middle block."""
+    top, letters, parent, children, u = signature
+    N, combined = len(parent), children[u]
+    mset = frozenset(range(top + 1, N + 1))
+    i = letters.index(u) + 1
+    word = Word(letters[:i] + (N,) + letters[i:], N)
+    members = []
+    for i in range(len(combined) + 1):
+        for j in range(i, len(combined) + 1):
+            par, kids = list(parent) + [u], list(children) + [combined[i:j]]
+            kids[u] = combined[:i] + (N,) + combined[j:]
+            for c in combined[i:j]:
+                par[c] = N
+            pre = _prenormal(Quilt(word, Tree(par, kids)), mset)
+            if pre is not None:
+                members.append(pre)
+    return tuple(members)
 
 
 _ECHELONS = {}
@@ -292,8 +291,8 @@ def _component_echelon(start):
     frontier = [start]
     echelon = {}
     while frontier:
-        for fam in _families(frontier.pop()):
-            rel = FormalSum(QQ, fam)
+        for signature in _signatures(frontier.pop()):
+            rel = FormalSum(QQ, _families(signature))
             for m in rel.terms:
                 if m not in seen:
                     seen.add(m)
@@ -490,8 +489,9 @@ def modification(q, kind, u, pair=None):
         w2 = _insert_before_first(word, u, new)
     elif kind == 5:
         v, w = pair
+        if tuple(pair) not in zip(tree.children[u], tree.children[u][1:]):
+            raise ValueError("(%r, %r) is not a consecutive pair of children of %r" % (v, w, u))
         i = tree.children[u].index(v)
-        assert tree.children[u][i + 1] == w
         children[u][i:i + 2] = [new]
         parent[new] = u
         parent[v] = new

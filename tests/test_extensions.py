@@ -357,8 +357,10 @@ def _unchecked_sites(source):
 
 def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
     # faces by the face lemma (extensions), relabellings by the relabelling
-    # lemma (quilts), and the two boundaries' sums, canonical by construction
-    # (extensions); a new caller needs its own lemma and exhaustive test
+    # lemma (quilts), the two boundaries' sums, canonical by construction
+    # (extensions), and the marked normal form's class words and their
+    # relabelled winner by the class-word lemma (mquilt); a new caller needs
+    # its own lemma and exhaustive test
     assert _unchecked_sites("def f(w):\n    return getattr(Word, '_unchecked')"
                             ) == [("f", 2, None)]
     assert _unchecked_sites("class C:\n    def g(self):\n        return self._unchecked"
@@ -369,7 +371,9 @@ def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
     assert sites == [
         ("extensions.py", "_built", "Word"), ("extensions.py", "_built", "Quilt"),
         ("extensions.py", "_built", "Word"), ("extensions.py", "boundary", "FormalSum"),
-        ("extensions.py", "boundary_sum", "FormalSum"), ("quilts.py", "Quilt.relabel", "Quilt"),
+        ("extensions.py", "boundary_sum", "FormalSum"),
+        ("mquilt.py", "_class_words.place", "Word"), ("mquilt.py", "_prenormal", "Quilt"),
+        ("mquilt.py", "_prenormal", "Quilt"), ("quilts.py", "Quilt.relabel", "Quilt"),
         ("quilts.py", "enumerate_quilts", "Quilt"), ("trees.py", "Tree.relabel", "Tree"),
         ("words.py", "Word.relabel", "Word")]
 

@@ -6,9 +6,9 @@ import pytest
 
 from quiltops.extensions import face, face_signs
 from quiltops.formal import FormalSum, combine, linear_combination
-from quiltops.rings import ZZ, GF2
-from quiltops.quilts import (parse_quilt, enumerate_quilts, Quilt, check_axioms,
-                             QuiltAxiomViolated, column_quilt)
+from quiltops.rings import ZZ, QQ, GF2
+from quiltops.quilts import (parse_quilt, enumerate_quilts, first_occurrence_quilts,
+                             Quilt, check_axioms, QuiltAxiomViolated, column_quilt)
 from quiltops.trees import Tree, parity_sign
 from quiltops.words import Word
 from quiltops import mquilt
@@ -18,8 +18,8 @@ from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
                              normalize, to_quilt_sum,
                              gerstenhaber_element, verify_identity,
                              IDENTITY_NAMES, modification, _class_words,
-                             _families, _normal_form_of_key, _normal_sum,
-                             _reduce, _canonical)
+                             _families, _legal_gaps, _normal_form_of_key,
+                             _normal_sum, _reduce, _canonical, _signatures)
 from quiltops import linfty
 from quiltops.linfty import L0, L_full, P_full, linfty_residual_mquilt
 from test_linfty import _residual_by_shuffles
@@ -84,19 +84,38 @@ def _class_words_oracle(tree, word, mset):
     return out
 
 
-def test_class_words_match_oracle():
-    # same words in the same order: _families takes the first adjacent one
-    cases = 0
+def _class_words_cases():
+    """Every quilt of arity <= 4 with its top 1-3 labels marked, then every
+    first-occurrence quilt of arity 5 with every mark set of 1-3 labels."""
     for n in range(1, 5):
         for q in enumerate_quilts(n):
             for k in range(1, min(3, n) + 1):
-                mset = frozenset(range(n - k + 1, n + 1))
-                if any(q.word.count(v) > 1 for v in mset):
-                    continue
-                assert (_class_words(q.tree, q.word, mset)
-                        == _class_words_oracle(q.tree, q.word, mset)), (q, k)
-                cases += 1
-    assert cases == 1773
+                yield q, frozenset(range(n - k + 1, n + 1))
+    for q in first_occurrence_quilts(5):
+        for k in (1, 2, 3):
+            for mset in combinations(range(1, 6), k):
+                yield q, frozenset(mset)
+
+
+def test_class_words_match_oracle():
+    # same words in the same order: _signatures takes the first adjacent one.
+    # Both lists follow one enumeration of the insertions, so equal sets give
+    # equal lists, and both sets are cut out by conditions on the tree and the
+    # word that relabelling keeps; so the first-occurrence quilts of arity 5,
+    # with every mark set, stand for all quilts of arity 5
+    cases = 0
+    for q, mset in _class_words_cases():
+        if any(q.word.count(v) > 1 for v in mset):
+            continue
+        assert (_class_words(q.tree, q.word, mset)
+                == _class_words_oracle(q.tree, q.word, mset)), (q, mset)
+        cases += 1
+    assert cases == 1773 + 6912
+    # 3 between the two 1s: moving it leaves them adjacent, the one
+    # condition the class-word lemma does not give
+    q = parse_quilt("2131;2(3,1)")
+    assert [w.letters for w in _class_words(q.tree, q.word, {3})] == [(2, 1, 3, 1)]
+    assert len(_legal_gaps(q.tree, (2, 1, 1), 3)) == 3
 
 
 def _prenormal_by_permute(quilt, mset):
@@ -430,13 +449,145 @@ def test_outputs_are_reduced():
         assert _reduce(gerstenhaber_element(name)) == gerstenhaber_element(name)
 
 
+def _families_by_member(key, every_word=False):
+    """Oracle for _families over _signatures: for each marked edge (u, v)
+    of key that can be made word-adjacent, the family built on key's own
+    labels from the first adjacent class word (from each one if every_word):
+    u keeps a prefix and suffix of the combined children around v, v keeps
+    the middle block, as (member, sign) prenormal pairs."""
+    quilt = key.quilt
+    tree, word = quilt.tree, quilt.word
+    mset = frozenset(key.marked())
+    out = []
+    edges = [(u, v) for u in sorted(mset) for v in tree.children[u] if v in mset]
+    words = _class_words(tree, word, mset) if edges else ()
+    for u, v in edges:
+        adjacent = [w for w in words if w.letters[w.letters.index(u) + 1:][:1] == (v,)]
+        for w in adjacent if every_word else adjacent[:1]:
+            kids_u = list(tree.children[u])
+            iv = kids_u.index(v)
+            combined = kids_u[:iv] + list(tree.children[v]) + kids_u[iv + 1:]
+            r = len(combined)
+            members = []
+            for i in range(r + 1):
+                for j in range(i, r + 1):
+                    new_u = combined[:i] + [v] + combined[j:]
+                    new_v = combined[i:j]
+                    parent = list(tree.parent)
+                    children = [list(c) for c in tree.children]
+                    children[u] = new_u
+                    children[v] = new_v
+                    for c in new_u:
+                        parent[c] = u
+                    for c in new_v:
+                        parent[c] = v
+                    t2 = Tree(tuple(parent), tuple(tuple(c) for c in children))
+                    pre = mquilt._prenormal(Quilt(w, t2), mset)
+                    if pre is not None:
+                        members.append(pre)
+            out.append(tuple(members))
+    return tuple(out)
+
+
+def _relation(family):
+    """The sum of a family up to sign, as a frozenset of (key, coefficient)
+    with the largest key's coefficient positive, or None if it is zero."""
+    terms = FormalSum(ZZ, family).terms
+    if not terms:
+        return None
+    sign = 1 if terms[max(terms, key=MQuilt.sort_key)] > 0 else -1
+    return frozenset((m, sign * c) for m, c in terms.items())
+
+
+def _clear_tables():
+    """Empty the memo tables of the marked normal form and the cached
+    elements whose building fills them."""
+    _families.cache_clear()
+    mquilt._ECHELONS.clear()
+    mquilt._NORMAL_FORMS.clear()
+    gerstenhaber_element.cache_clear()
+    linfty.P0_m.cache_clear()
+    linfty.P_full.cache_clear()
+
+
+def _family_counts():
+    """(families built, families the oracle builds on the keys visited,
+    distinct relations among those)."""
+    oracle = [_relation(f) for key in mquilt._ECHELONS for f in _families_by_member(key)]
+    assert None not in oracle
+    return _families.cache_info().currsize, len(oracle), len(set(oracle))
+
+
+def _build_tables():
+    """From empty tables, the six identities and then the relations up to
+    arity 4; the family counts after each."""
+    _clear_tables()
+    for name in IDENTITY_NAMES:
+        assert verify_identity(name).is_zero(), name
+    counts = [_family_counts()]
+    for n in (2, 3, 4):
+        assert linfty_residual_mquilt(n).is_zero(), n
+    return counts + [_family_counts()]
+
+
+def test_families_are_built_once_per_relation():
+    # each signature's family is the member's own family up to sign, edge by
+    # edge, and the signatures tell the relations apart: from empty tables
+    # the identities build 21 families, where the oracle builds 50
+    assert _build_tables() == [(21, 50, 21), (36, 84, 36)]
+    built = set()
+    for key in mquilt._ECHELONS:
+        got = [_relation(_families(sig)) for sig in _signatures(key)]
+        assert got == [_relation(f) for f in _families_by_member(key)], key
+        built.update(got)
+    assert _families.cache_info().currsize == len(built) == 36
+
+
+def test_signature_families_match_member_oracle():
+    # on every first-occurrence key with 2-3 marks and at most 5 labels, the
+    # prenormal form of a first-occurrence quilt with some of its labels
+    # marked: the signature names the other marks in first-occurrence order,
+    # and its family is the member's own family up to sign, edge by edge
+    keys = set()
+    for n in range(2, 6):
+        for q in first_occurrence_quilts(n):
+            for mset in (m for k in (2, 3) for m in combinations(range(1, n + 1), k)):
+                pre = mquilt._prenormal(q, frozenset(mset))
+                if pre is not None:
+                    keys.add(pre[0])
+    for key in keys:
+        sigs = list(_signatures(key))
+        for top, letters, parent, _, _ in sigs:
+            assert [x for x in letters if x > top] == list(range(top + 1, len(parent)))
+        oracle = _families_by_member(key)
+        assert [_relation(_families(sig)) for sig in sigs] == [_relation(f) for f in oracle]
+    assert len(keys) == 561
+
+
+def test_later_adjacent_words_give_relations_in_the_row_space():
+    # the family from every adjacent class word, not only the first, on every
+    # first-occurrence key the identities and the relations up to arity 4
+    # reach, reduces to zero against the echelon of its component
+    _build_tables()
+    later = 0
+    for key, echelon in mquilt._ECHELONS.items():
+        families = _families_by_member(key, every_word=True)
+        later += len(families) - len(_families_by_member(key))
+        for family in families:
+            rel = FormalSum(QQ, family)
+            rel = linear_combination(QQ, [(1, rel)] + [
+                (-c, echelon[m]) for m, c in rel.terms.items() if m in echelon])
+            assert rel.is_zero(), (key, family)
+    assert (len(mquilt._ECHELONS), later) == (136, 14)
+
+
 def _normal_form_by_reduction(key):
     """Oracle for _normal_form_of_key: the distinct relations of key's
     component, echelonized in the order found without back-substitution,
     then key reduced against the largest leader left until none is."""
     seen, frontier, raw, rel_seen = {key}, [key], [], set()
     while frontier:
-        for fam in _families(frontier.pop()):
+        for fam in _families_by_member(frontier.pop()):
             vec = {}
             for mem, s in fam:
                 vec[mem] = vec.get(mem, 0) + s
@@ -490,12 +641,7 @@ def test_normal_forms_match_reduction_oracle(monkeypatch):
     # arity 4 reach, by the slot sum and by the shuffle oracle, starting from
     # empty memo tables, and every other key reached gets the normal form of
     # its first-occurrence relabelling, relabelled back
-    _families.cache_clear()
-    mquilt._ECHELONS.clear()
-    mquilt._NORMAL_FORMS.clear()
-    gerstenhaber_element.cache_clear()
-    linfty.P0_m.cache_clear()
-    linfty.P_full.cache_clear()
+    _clear_tables()
     reached = {}
 
     def recorded(key):
@@ -519,7 +665,7 @@ def test_normal_forms_match_reduction_oracle(monkeypatch):
                for ((n, letters), (_, *tree)), marks in mquilt._NORMAL_FORMS)
     assert len(mquilt._ECHELONS) == 136
     assert len(mquilt._NORMAL_FORMS) == 129
-    assert _families.cache_info().currsize == 136
+    assert _families.cache_info().currsize == 36
     for key in list(mquilt._ECHELONS):
         assert _normal_form_of_key(key) == _normal_form_by_reduction(key), key
     others = [key for key in reached if not first(key)]
@@ -635,6 +781,16 @@ def test_modifications_shapes():
     assert str(modification(q, 4, 1)) == "41232;4(1(3),2)"
     m5 = modification(q, 5, 1, (3, 2))
     assert str(m5.tree) == "1(4(3,2))"
+
+
+def test_modification_refuses_a_pair_that_is_not_consecutive():
+    # kind 5 replaces two consecutive children; this check survives python -O
+    q = parse_quilt("123242;1(3,4,2)")
+    assert str(modification(q, 5, 1, (4, 2)).tree) == "1(3,5(4,2))"
+    for pair in ((3, 2), (4, 3), (2, 3), (1, 2)):
+        with pytest.raises(ValueError, match=r"\(%d, %d\) is not a consecutive pair "
+                           r"of children of 1" % pair):
+            modification(q, 5, 1, pair)
 
 
 def test_gerstenhaber_elements_display():
