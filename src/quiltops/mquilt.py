@@ -58,7 +58,7 @@ component as its closure, so the order in which keys are visited cannot
 change which echelon a key gets.  Each family is a relation, so a zero
 residual is zero.  A nonzero one could still be zero in the operad if a
 family from a later adjacent class word left the row space; that is tested
-only on the keys the identities and the relations through arity 4 reach.
+only on the keys the identities and the relations through arity 5 reach.
 """
 
 from functools import lru_cache
@@ -185,11 +185,11 @@ def _prenormal(quilt, mset):
     parent, children) is built, with the unmarked labels named in order of
     first occurrence (the same in every class word) so that the winner
     commutes with relabelling them.  The tree, relabelled only on a tie,
-    breaks ties on the letters (1,464 of the 11,263 quilts of
-    arity <= 4 with 1-3 marks; 684 change winner).  The winner is its class
-    quilt, a quilt by the class-word lemma, renamed by the relabelling lemma
-    (quilts).  A planar tree has no automorphism, so that is the input quilt
-    exactly when the renaming is the identity and the word is the input's.
+    breaks ties on the letters (1,464 of the 11,263 quilts of arity <= 4 with
+    1-3 marks; 684 change winner).  The winner is its class quilt, a quilt by
+    the class-word lemma, renamed by the relabelling lemma (quilts).  A planar
+    tree has no automorphism, so that is the input quilt exactly when the
+    renaming is the identity and the word is the input's.
     """
     word, tree = quilt.word, quilt.tree
     for v in mset:
