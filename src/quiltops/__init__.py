@@ -31,7 +31,8 @@ from .linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0, P_full,
                      linfty_residual_quilt, linfty_residual_mquilt,
                      linfty_residual_coinvariant)
 from .diagrams import (FiniteCategory, DiagramOfAlgebras, DiagramError,
-                       load_diagram, parse_diagram, category_two_diagram)
+                       load_diagram, parse_diagram, format_diagram,
+                       category_two_diagram)
 from .cochains import (Cochain, m_hat, act, delta_S, delta_H, delta_total,
                        cup, circle_bar, bracket, subcomplex_check,
                        mc_residual, deformed_diagram, skew_check, squaring,

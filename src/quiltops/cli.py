@@ -7,9 +7,9 @@ arity 6 sit behind --deep: without it such a request exits 2 before any check
 runs, as does a --max-arity that leaves nothing to check or a homology
 --arity below 1, so a PASS never hides a skipped or empty suite.  Bad
 input to a calculator (an operand that does not parse or is empty, an
-arity below 1, a degree below 0, an unknown ring, marks outside the
-arity, rep squaring over a ring not of characteristic 2) also exits 2 with
-one line on stderr.
+arity below 1, a degree below 0 or any degree for trees, an unknown ring,
+marks outside the arity, rep squaring over a ring not of characteristic
+2) also exits 2 with one line on stderr.
 """
 
 import argparse
@@ -78,6 +78,9 @@ def _cmd_enumerate(args):
     n = args.arity
     if n < 1:
         return _fail("enumerate", "--arity %d has no %ss: arities start at 1" % (n, kind))
+    if kind == "tree" and args.degree is not None:
+        return _fail("enumerate", "--degree %d does not apply to trees: trees have no degree"
+                     % args.degree)
     if (args.degree or 0) < 0:
         return _fail("enumerate", "--degree %d has no %ss: degrees start at 0"
                      % (args.degree, kind))

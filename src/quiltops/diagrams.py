@@ -6,7 +6,8 @@ a matrix that must be an algebra homomorphism, functorially in the
 category.  The text format mirrors this: a ring line, objects with
 dimensions, morphisms with source and target, a total composition table
 for the non-identity composable pairs, structure constants as
-(i, j, k, value) quadruples, and row-major matrices.
+(i, j, k, value) quadruples, and row-major matrices.  parse_diagram
+reads it and format_diagram writes it.
 """
 
 from fractions import Fraction
@@ -300,6 +301,27 @@ def parse_diagram(text, validate=True):
         matrices[f] = {(r, c): vals[r * dc + c]
                        for r in range(dr) for c in range(dc)}
     return DiagramOfAlgebras(cat, dims, mult, matrices, ring, validate=validate)
+
+
+def format_diagram(dia):
+    """The text of dia in the format parse_diagram reads: its ring, objects
+    and non-identity morphisms in order, the composition table, the nonzero
+    structure constants in index order and each non-identity matrix in
+    full, so parse_diagram(format_diagram(dia)) is dia again."""
+    cat = dia.category
+    identities = set(cat.identity.values())
+    arrows = [f for f in cat.morphisms if f not in identities]
+    lines = ["ring %s" % dia.ring]
+    lines += ["object %s %d" % (x, dia.dims[x]) for x in cat.objects]
+    lines += ["morphism %s %s %s" % (f, cat.src(f), cat.tgt(f)) for f in arrows]
+    lines += ["compose %s %s %s" % (g, f, h) for (g, f), h in cat._table.items()]
+    lines += ["mult %s %d %d %d %s" % (x, i + 1, j + 1, k + 1, c)
+              for x in cat.objects for (i, j, k), c in sorted(dia.mult[x].items())]
+    for f in (f for f in arrows if f in dia.matrices):
+        m, rows, cols = dia.matrices[f], dia.dims[cat.tgt(f)], dia.dims[cat.src(f)]
+        lines.append(" ".join(["matrix", f] + [str(m.get((r, c), dia.ring.zero))
+                                               for r in range(rows) for c in range(cols)]))
+    return "\n".join(lines) + "\n"
 
 
 def load_diagram(path, validate=True):

@@ -24,12 +24,17 @@ is a bijection on words, so the 22 first-occurrence words with a quilt at
 arity 5 give 2,640 distinct words.  The canonical order compares the words
 (degree, then letters) before the trees, so sorting those words and each
 word's trees already orders the quilts: no sort runs over all of them.
+The trees come from shape orbits (the orbit lemma in trees): the 442
+first-occurrence quilts of arity 5 sit on 105 trees of the 14 planar
+shapes, and each renamed tree is an entry of its shape's orbit, so one
+call builds each of the 1,680 labelled trees once, in a table that lives
+for the call, and its quilts share them.
 """
 
-from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
-from .trees import Tree, _invert, parse_tree
+from .trees import Tree, _invert, parse_tree, shape_of
 from .words import Word, first_occurrence_words, parse_word
 
 
@@ -204,7 +209,7 @@ def compatible_trees(word):
             for v, p in parent.items():
                 par[v] = p
                 kid[v] = tuple(children[v])
-            out.append(_shared_tree(tuple(par), tuple(kid)))
+            out.append(Tree(par, kid))
             return
         u = order[k]
         for p in order[:k]:
@@ -226,11 +231,6 @@ def compatible_trees(word):
     return out
 
 
-# One immutable Tree per (parent, children), at most the planar trees of
-# the arities enumerated: enumerate_quilts(5) puts 53,040 quilts on 1,680.
-_shared_tree = lru_cache(maxsize=None)(Tree)
-
-
 def first_occurrence_quilts(n, degree=None):
     """The quilts of arity n (optionally one degree) whose word first
     visits 1, 2, ..., n, canonically ordered."""
@@ -241,17 +241,35 @@ def first_occurrence_quilts(n, degree=None):
 def enumerate_quilts(n, degree=None):
     """All quilts of arity n (optionally one degree), canonically ordered:
     the first-occurrence quilts, validated, relabelled by every permutation
-    of 1..n and built unchecked in that order (the relabelling lemma)."""
+    of 1..n and built unchecked in that order (the relabelling lemma).
+
+    Each labelled tree is built once, as an entry of its shape's orbit:
+    the first-occurrence tree t = s^tau renamed by pi is the entry
+    pi o tau of the orbit of s (the orbit lemma in trees).  The orbits
+    rank their trees once by Tree.sort_key, so each word's trees sort by
+    an integer."""
     trees_of = {w: ts for w in first_occurrence_words(n, degree) if (ts := compatible_trees(w))}
-    trees = dict.fromkeys(Quilt(w, t).tree for w, ts in trees_of.items() for t in ts)  # validated
+    firsts = dict.fromkeys(Quilt(w, t).tree for w, ts in trees_of.items() for t in ts)  # validated
+    news = [(0,) + p for p in permutations(range(1, n + 1))]
+    orbits, renamed = {}, []
+    for t in firsts:
+        s, tau = shape_of(t)
+        if s not in orbits:
+            orbits[s] = {new: s.relabel(new) for new in news}
+        renamed.append((orbits[s], itemgetter(0, *tau)))
+    built = sorted((u for orbit in orbits.values() for u in orbit.values()), key=Tree.sort_key)
+    rank = {u: i for i, u in enumerate(built)}
+    for orbit in orbits.values():
+        for new, u in orbit.items():
+            orbit[new] = rank[u], u
+    index = {t: i for i, t in enumerate(firsts)}
+    words = [(w, [index[t] for t in ts]) for w, ts in trees_of.items()]
     groups = []
-    for p in permutations(range(1, n + 1)):
-        new = (0,) + p
-        tree_of = {t: _shared_tree(*t.relabelled(new)) for t in trees}
-        groups.extend((word.relabel(new), sorted(map(tree_of.get, ts), key=Tree.sort_key))
-                      for word, ts in trees_of.items())
+    for new in news:
+        images = [orbit[pi_tau(new)] for orbit, pi_tau in renamed]
+        groups.extend((w.relabel(new), sorted(map(images.__getitem__, ts))) for w, ts in words)
     groups.sort(key=lambda g: g[0].sort_key())
-    return [Quilt._unchecked(word, tree) for word, ts in groups for tree in ts]
+    return [Quilt._unchecked(word, tree) for word, ts in groups for _, tree in ts]
 
 
 def identity_quilt():

@@ -14,10 +14,24 @@ nested or disjoint in planar order, so u <= v iff
 pre[u] <= pre[v] <= end[u], and u <| v iff end[u] < pre[v].
 
 Vertices are 1-based throughout; relabel renames them (lemma in quilts).
+
+Orbit lemma.  Write t^tau for t renamed by u -> tau[u].  Renaming
+composes: (t^tau)^pi = t^(pi o tau), since each vertex u of t is named
+tau[u] and then pi[tau[u]].  A planar tree has no automorphism besides
+the identity: a renaming that gives back the same tree fixes the root
+and, child list by child list from the root down, every vertex.  So the
+permutations of 1..n act freely on the labelled trees: the n! renamings
+of one shape are distinct, and each labelled tree t is exactly one pair
+(shape, renaming), namely s^tau with s its planar shape labelled in
+preorder and tau its vertices in preorder (shape_of).  The Euler-tour
+arrays move with the labels, as the relabelling lemma in quilts states,
+so a renamed shape needs no second walk.  enumerate_trees builds every
+tree of arity n as one relabel of one of the Catalan(n-1) shapes, which
+are the only trees it validates (14 at arity 5); enumerate_quilts finds
+t^pi as the entry pi o tau of the orbit of t's shape.
 """
 
-import itertools
-from functools import lru_cache
+from itertools import permutations
 from operator import itemgetter
 
 
@@ -229,36 +243,6 @@ def parse_tree(text):
     return _from_nested(top, n)
 
 
-@lru_cache(maxsize=None)
-def _forests(vertices):
-    """All ordered forests on a frozenset of labels, as tuples of nested
-    (root, (subtree, ...)) trees; the first tree takes any nonempty subset."""
-    vertices = frozenset(vertices)
-    if not vertices:
-        return ((),)
-    out = []
-    vs = sorted(vertices)
-    for k in range(1, len(vs) + 1):
-        for sub in itertools.combinations(vs, k):
-            first = frozenset(sub)
-            for t in _trees_on(first):
-                for f in _forests(vertices - first):
-                    out.append((t,) + f)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _trees_on(vertices):
-    """All planar rooted trees on a frozenset of labels, as nested tuples
-    (root, (subtree, ...))."""
-    out = []
-    vertices = frozenset(vertices)
-    for r in sorted(vertices):
-        for f in _forests(vertices - {r}):
-            out.append((r, f))
-    return tuple(out)
-
-
 def _from_nested(node, n):
     """The tree of a nested (root, (subtree, ...)) node on the labels 1..n."""
     parent, children = [0] * (n + 1), [()] * (n + 1)
@@ -273,11 +257,45 @@ def _from_nested(node, n):
     return Tree(parent, children)
 
 
-def enumerate_trees(n):
-    """All planar rooted trees with vertex set {1..n}, canonically ordered.
-    There are n! * Catalan(n-1) of them."""
+def planar_shapes(n):
+    """The Catalan(n-1) planar shapes of n vertices, canonically ordered,
+    each labelled 1..n in preorder (children left to right), so that
+    every child list is increasing.  Grown vertex by vertex: the next
+    vertex hangs, as the rightmost child so far, from a vertex on the path
+    from the root to the previous one."""
     if n < 1:
         raise ValueError("arity must be at least 1, got %d" % n)
-    trees = [_from_nested(shape, n) for shape in _trees_on(frozenset(range(1, n + 1)))]
+    shapes = []
+
+    def grow(parent, path):
+        v = len(parent)
+        if v > n:
+            children = [[] for _ in parent]
+            for u in range(2, v):
+                children[parent[u]].append(u)
+            shapes.append(Tree(parent, children))
+            return
+        for i, p in enumerate(path):
+            grow(parent + (p,), path[:i + 1] + (v,))
+
+    grow((0, 0), (1,))
+    shapes.sort(key=Tree.sort_key)
+    return shapes
+
+
+def shape_of(tree):
+    """(s, tau): the planar shape s of tree, labelled in preorder as in
+    planar_shapes, and tau, the vertices of tree in preorder, so that
+    tree == s.relabel((0,) + tau) (the orbit lemma)."""
+    new = (0,) + tuple(p + 1 for p in tree._pre[1:])
+    return tree.relabel(new), tuple(_invert(new[1:], tree.n)[1:])
+
+
+def enumerate_trees(n):
+    """All planar rooted trees with vertex set {1..n}, canonically ordered:
+    every planar shape renamed by every permutation of 1..n (the orbit
+    lemma), n! * Catalan(n-1) trees."""
+    news = [(0,) + p for p in permutations(range(1, n + 1))]
+    trees = [s.relabel(new) for s in planar_shapes(n) for new in news]
     trees.sort(key=Tree.sort_key)
     return trees

@@ -103,6 +103,8 @@ def test_homology_torsion_above_arity_4_exits_2(capsys, argv):
      "enumerate: --degree -1 has no words: degrees start at 0"),
     (["enumerate", "quilt", "--arity", "2", "--degree", "-3"],
      "enumerate: --degree -3 has no quilts: degrees start at 0"),
+    (["enumerate", "tree", "--arity", "2", "--degree", "3"],
+     "enumerate: --degree 3 does not apply to trees: trees have no degree"),
     (["boundary"], "boundary: give exactly one of --word and --quilt"),
     (["boundary", "--word", ""], "boundary: cannot parse '': expected a word "
      "of vertex labels such as 1232 or 1,2,3,2"),
@@ -120,7 +122,7 @@ def test_homology_torsion_above_arity_4_exits_2(capsys, argv):
     (["homology", "--arity", "2", "--ring", "Fp:x"],
      "homology: unknown ring 'Fp:x': expected one of Z, Q, F<p>, Fp:<p>"),
 ], ids=["enumerate-word", "enumerate-quilt", "enumerate-tree", "enumerate-word-degree",
-        "enumerate-quilt-degree", "boundary-nothing", "boundary-empty-word",
+        "enumerate-quilt-degree", "enumerate-tree-degree", "boundary-nothing", "boundary-empty-word",
         "boundary-empty-quilt-word", "boundary-bad-word", "render-bad-quilt", "render-marks", "homology-ring-X",
         "homology-ring-F4", "homology-ring-Fp-x"])
 def test_calculator_bad_input_exits_2(capsys, argv, message):

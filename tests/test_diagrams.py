@@ -5,7 +5,7 @@ import pytest
 
 from quiltops.rings import QQ, GF2, GF
 from quiltops.diagrams import (NonAssociative, NotFunctorial, NotHomomorphism,
-                               BadShape, parse_diagram, category_two_diagram)
+                               BadShape, parse_diagram, format_diagram, category_two_diagram)
 
 from conftest import one_object_diagram, upper_triangular_to_diagonal
 
@@ -128,8 +128,7 @@ def test_nerve():
     assert cat.path(tup, 2, 2) == "id_x"
 
 
-def test_composition_table_three_objects():
-    d = parse_diagram("""
+THREE_OBJECTS = """
 ring Q
 object a 1
 object b 1
@@ -144,7 +143,11 @@ mult c 1 1 1 1
 matrix f 1
 matrix g 1
 matrix h 1
-""")
+"""
+
+
+def test_composition_table_three_objects():
+    d = parse_diagram(THREE_OBJECTS)
     assert d.category.compose("g", "f") == "h"
     assert len(d.category.nerve(2)) > 0
 
@@ -173,11 +176,14 @@ def oracle_product(dia, x, u, v):
     return {k: c for k, c in out.items() if not ring.is_zero(c)}
 
 
-@pytest.mark.parametrize("dia", [
-    upper_triangular_to_diagonal(QQ), upper_triangular_to_diagonal(GF2),
-    upper_triangular_to_diagonal(GF(3)), one_object_diagram(QQ, 3),
-    category_two_diagram(GF2, 3), parse_diagram(MATRIX_ALGEBRA),
-], ids=["uptri-QQ", "uptri-GF2", "uptri-GF3", "one-object", "diag-GF2", "2x2-matrices"])
+SUITE_DIAGRAMS = {
+    "uptri-QQ": upper_triangular_to_diagonal(QQ), "uptri-GF2": upper_triangular_to_diagonal(GF2),
+    "uptri-GF3": upper_triangular_to_diagonal(GF(3)), "one-object": one_object_diagram(QQ, 3),
+    "diag-GF2": category_two_diagram(GF2, 3), "2x2-matrices": parse_diagram(MATRIX_ALGEBRA),
+}
+
+
+@pytest.mark.parametrize("dia", SUITE_DIAGRAMS.values(), ids=SUITE_DIAGRAMS.keys())
 def test_multiply_matches_oracle(dia):
     ring = dia.ring
     rng = random.Random(3)
@@ -192,3 +198,32 @@ def test_multiply_matches_oracle(dia):
             u = {i: c for i, c in u.items() if not ring.is_zero(c)}
             v = {i: c for i, c in v.items() if not ring.is_zero(c)}
             assert dia.multiply(x, u, v) == oracle_product(dia, x, u, v)
+
+
+@pytest.mark.parametrize("dia", [*SUITE_DIAGRAMS.values(), parse_diagram(DIAGRAM_TEXT),
+                                 parse_diagram(THREE_OBJECTS), category_two_diagram(QQ, 2),
+                                 one_object_diagram(GF2, 2)],
+                         ids=[*SUITE_DIAGRAMS, "two-objects", "three-objects", "diag-QQ",
+                              "one-object-GF2"])
+def test_format_round_trip(dia):
+    # format(parse(format(d))) == format(d), and the reparsed diagram has
+    # the same ring, category, algebras and matrices
+    text = format_diagram(dia)
+    again = parse_diagram(text)
+    assert format_diagram(again) == text
+    assert (again.ring, again.dims, again.mult, again.matrices) == (
+        dia.ring, dia.dims, dia.mult, dia.matrices)
+    assert (again.category.objects, again.category.morphisms, again.category._table) == (
+        dia.category.objects, dia.category.morphisms, dia.category._table)
+
+
+def test_format_writes_the_documented_lines():
+    d = parse_diagram(THREE_OBJECTS.replace("ring Q", "ring F5").replace("matrix h 1", "matrix h 6"))
+    assert format_diagram(d) == (
+        "ring F5\nobject a 1\nobject b 1\nobject c 1\nmorphism f a b\nmorphism g b c\n"
+        "morphism h a c\ncompose g f h\nmult a 1 1 1 1\nmult b 1 1 1 1\nmult c 1 1 1 1\n"
+        "matrix f 1\nmatrix g 1\nmatrix h 1\n")
+    assert format_diagram(parse_diagram(MATRIX_ALGEBRA)).splitlines()[-1] == (
+        "matrix gamma 1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1")
+    half = parse_diagram("ring Q\nobject x 1\nmult x 1 1 1 -1/2\n")
+    assert format_diagram(half) == "ring Q\nobject x 1\nmult x 1 1 1 -1/2\n"

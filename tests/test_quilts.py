@@ -140,8 +140,8 @@ def test_enumeration_matches_word_oracle():
 
 def test_enumeration_peak_memory_near_its_result():
     # built in order, with no sort keys and no key tuple per quilt, the
-    # call peaks near what its result holds (1.87 times with the old sort)
-    quilts._shared_tree.cache_clear()
+    # call peaks near what its result holds (1.87 times with the old sort);
+    # the trees it holds are built in the call, from its per-call orbits
     tracemalloc.start()
     try:
         out = enumerate_quilts(5)
@@ -234,15 +234,24 @@ def _relabel_validated(q, new):
 
 
 def _enumerate_quilts_validated(n, degree=None):
-    """Oracle for enumerate_quilts: its body before the relabelling lemma,
-    every relabelled word and quilt built through the validating
-    constructors."""
+    """Oracle for enumerate_quilts: its body before the relabelling and
+    orbit lemmas, every relabelled word, tree and quilt built through the
+    validating constructors, equal trees shared through a table of its
+    own call."""
     trees_of = {w: ts for w in first_occurrence_words(n, degree) if (ts := compatible_trees(w))}
     trees = dict.fromkeys(t for ts in trees_of.values() for t in ts)
+    table = {}
+
+    def validated(t, new):
+        key = t.relabelled(new)
+        if key not in table:
+            table[key] = Tree(*key)
+        return table[key]
+
     groups = []
     for p in itertools.permutations(range(1, n + 1)):
         new = (0,) + p
-        tree_of = {t: quilts._shared_tree(*t.relabelled(new)) for t in trees}
+        tree_of = {t: validated(t, new) for t in trees}
         groups.extend((Word(tuple(new[x] for x in word.letters), n),
                        sorted(map(tree_of.get, ts), key=Tree.sort_key))
                       for word, ts in trees_of.items())
@@ -263,14 +272,14 @@ def _assert_built_as_validated(got, want):
 
 
 def test_enumeration_builds_as_validated():
-    # the relabelling lemma: term by term, in order, as the validating build
+    # the relabelling and orbit lemmas: term by term, in order, as the
+    # validating build, every Tree slot included
     for n in range(1, 6):
-        got, want = enumerate_quilts(n), _enumerate_quilts_validated(n)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g == w and hash(g) == hash(w) and str(g) == str(w), (g, w)
-            assert g.sort_key() == w.sort_key(), (g, w)
-            assert g.tree is w.tree, (g, w)
+        for degree in [None] + list(range(-1, n)):
+            got, want = enumerate_quilts(n, degree), _enumerate_quilts_validated(n, degree)
+            assert len(got) == len(want), (n, degree)
+            for g, w in zip(got, want):
+                _assert_built_as_validated(g, w)
 
 
 def test_relabel_builds_as_validated():

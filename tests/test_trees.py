@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quiltops.trees import (Tree, TreeInvalid, _invert, enumerate_trees, parity_sign,
-                            parse_tree)
+                            parse_tree, planar_shapes, shape_of)
 
 
 def catalan(n):
@@ -86,14 +86,39 @@ def test_interval_relations_match_ancestor_walk():
                     assert t.left_of(u, v) == _left_of_oracle(t, u, v), (t, u, v)
 
 
-def test_enumerated_quilts_share_equal_trees():
+def _counting_validations(monkeypatch):
+    """A list that grows by one tree for every validating Tree.__init__."""
+    built, init = [], Tree.__init__
+
+    def counted(self, parent, children):
+        init(self, parent, children)
+        built.append(self)
+
+    monkeypatch.setattr(Tree, "__init__", counted)
+    return built
+
+
+def test_enumerated_quilts_share_equal_trees(monkeypatch):
+    # one object per labelled tree within a call, from its shape's orbit;
+    # only compatible_trees validates, once per first-occurrence quilt
     from quiltops.quilts import enumerate_quilts
-    shared = {}
-    for q in enumerate_quilts(4):
-        key = q.tree.key()
-        assert key == (q.tree.n, q.tree.parent, q.tree.children)
-        assert shared.setdefault(key, q.tree) is q.tree
-    assert len(shared) == len(enumerate_trees(4))
+    for n, validated in ((4, 33), (5, 442)):
+        built = _counting_validations(monkeypatch)
+        shared = {}
+        for q in enumerate_quilts(n):
+            key = q.tree.key()
+            assert key == (q.tree.n, q.tree.parent, q.tree.children)
+            assert shared.setdefault(key, q.tree) is q.tree
+        assert len(built) == validated
+        assert len(shared) == len(enumerate_trees(n))
+
+
+def test_enumerate_trees_validates_only_the_shapes(monkeypatch):
+    built = _counting_validations(monkeypatch)
+    out = enumerate_trees(5)
+    assert len(out) == 1680 and len(built) == 14
+    assert [t.key() for t in built] == [s.key() for s in planar_shapes(5)]
+    assert len({id(t) for t in out}) == len(out)
 
 
 def test_corner_word_examples():
@@ -136,6 +161,92 @@ def test_enumeration_counts():
         trees = enumerate_trees(n)
         assert len(trees) == math.factorial(n) * catalan(n - 1)
         assert len(set(trees)) == len(trees)
+
+
+def _enumerate_trees_by_forests(n):
+    """Oracle for enumerate_trees: the ordered forests on every subset of
+    the labels, grown recursively (the first tree takes any nonempty
+    subset), each tree built through the validating constructor."""
+    forests_on, trees_on = {}, {}
+
+    def forests(vertices):
+        if vertices not in forests_on:
+            out = [()] if not vertices else []
+            vs = sorted(vertices)
+            for k in range(1, len(vs) + 1):
+                for sub in itertools.combinations(vs, k):
+                    first = frozenset(sub)
+                    out += [(t,) + f for t in rooted(first) for f in forests(vertices - first)]
+            forests_on[vertices] = out
+        return forests_on[vertices]
+
+    def rooted(vertices):
+        if vertices not in trees_on:
+            trees_on[vertices] = [(r, f) for r in sorted(vertices)
+                                  for f in forests(vertices - {r})]
+        return trees_on[vertices]
+
+    def build(node, parent, children, up):
+        root, kids = node
+        parent[root], children[root] = up, tuple(k[0] for k in kids)
+        for k in kids:
+            build(k, parent, children, root)
+
+    out = []
+    for node in rooted(frozenset(range(1, n + 1))):
+        parent, children = [0] * (n + 1), [()] * (n + 1)
+        build(node, parent, children, 0)
+        out.append(Tree(parent, children))
+    out.sort(key=Tree.sort_key)
+    return out
+
+
+def test_enumerate_trees_matches_forest_oracle():
+    # in order, and equal on every slot: the walk arrays of each renamed
+    # shape are those a validating walk of the tree finds
+    for n in range(1, 7):
+        got, want = enumerate_trees(n), _enumerate_trees_by_forests(n)
+        assert len(got) == len(want) == math.factorial(n) * catalan(n - 1)
+        assert [_slots(t) for t in got] == [_slots(t) for t in want], n
+
+
+def test_planar_shapes_are_the_preorder_labelled_trees():
+    for n in range(1, 7):
+        shapes = planar_shapes(n)
+        assert len(shapes) == catalan(n - 1)
+        assert shapes == [t for t in enumerate_trees(n) if t._pre[1:] == tuple(range(n))]
+        for s in shapes:
+            assert all(list(cs) == sorted(cs) for cs in s.children)
+    with pytest.raises(ValueError):
+        planar_shapes(0)
+
+
+def test_shape_of_names_the_one_shape_and_renaming():
+    # the orbit lemma: t = s^tau for exactly one shape s and renaming tau,
+    # and the n! renamings of a shape are distinct
+    for n in range(1, 6):
+        shapes = planar_shapes(n)
+        news = [(0,) + p for p in itertools.permutations(range(1, n + 1))]
+        renaming = {s.relabel(new): (s, new[1:]) for s in shapes for new in news}
+        assert len(renaming) == len(shapes) * len(news)
+        for t in enumerate_trees(n):
+            s, tau = shape_of(t)
+            assert renaming[t] == (s, tau)
+            assert tau == tuple(sorted(range(1, n + 1), key=t._pre.__getitem__))
+            assert _slots(s) == _slots(renaming[t][0])
+            assert _slots(s.relabel((0,) + tau)) == _slots(t)
+        for s in shapes:
+            assert shape_of(s) == (s, tuple(range(1, n + 1)))
+
+
+def test_renaming_composes():
+    # (t^tau)^pi = t^(pi o tau), which lets an orbit entry stand for t^pi
+    rng = random.Random(27)
+    for n in range(1, 6):
+        for t in rng.sample(enumerate_trees(n), min(40, len(enumerate_trees(n)))):
+            tau, pi = ((0,) + tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            composed = tuple(pi[tau[i]] for i in range(n + 1))
+            assert _slots(t.relabel(tau).relabel(pi)) == _slots(t.relabel(composed))
 
 
 def test_sort_key_is_the_stored_key():
