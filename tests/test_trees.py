@@ -239,16 +239,6 @@ def test_shape_of_names_the_one_shape_and_renaming():
             assert shape_of(s) == (s, tuple(range(1, n + 1)))
 
 
-def test_renaming_composes():
-    # (t^tau)^pi = t^(pi o tau), which lets an orbit entry stand for t^pi
-    rng = random.Random(27)
-    for n in range(1, 6):
-        for t in rng.sample(enumerate_trees(n), min(40, len(enumerate_trees(n)))):
-            tau, pi = ((0,) + tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
-            composed = tuple(pi[tau[i]] for i in range(n + 1))
-            assert _slots(t.relabel(tau).relabel(pi)) == _slots(t.relabel(composed))
-
-
 def test_sort_key_is_the_stored_key():
     # sorting by tree allocates nothing: the sort key is the key tuple itself
     for n in range(1, 6):
