@@ -46,9 +46,11 @@ class FiniteCategory:
         identities; compose_table: {(g, f): h} for non-identity pairs."""
         self.objects = list(objects)
         self.identity = {x: "id_%s" % x for x in objects}
-        self.morphisms = {}
-        for x in objects:
-            self.morphisms[self.identity[x]] = (x, x)
+        self.morphisms = {f: (x, x) for x, f in self.identity.items()}
+        self._identities = frozenset(self.morphisms)
+        for f in morphisms:
+            if f in self._identities:
+                raise DiagramError("morphism %s takes the name of an identity" % f)
         self.morphisms.update(morphisms)
         self._table = dict(compose_table)
         self._validate()
@@ -60,7 +62,7 @@ class FiniteCategory:
         return self.morphisms[f][1]
 
     def is_identity(self, f):
-        return f.startswith("id_")
+        return f in self._identities
 
     def compose(self, g, f):
         """g after f; f: x -> y, g: y -> z."""
@@ -283,9 +285,13 @@ def parse_diagram(text, validate=True):
             if name not in declared:
                 raise DiagramSyntaxError("line %d: undeclared %s %r"
                                          % (where[kw, key], kind, name))
+    identities = {"id_%s" % x for x in objects}
     for f, ends in morphisms.items():
+        if f in identities:
+            raise DiagramSyntaxError("line %d: morphism %r takes the name of an identity"
+                                     % (where["morphism", f], f))
         check("morphism", f, "object", ends, dims)
-    arrows = set(morphisms) | {"id_%s" % x for x in objects}
+    arrows = set(morphisms) | identities
     for gf, h in table.items():
         check("compose", gf, "morphism", gf + (h,), arrows)
     for f in matrix_rows:
@@ -309,8 +315,7 @@ def format_diagram(dia):
     structure constants in index order and each non-identity matrix in
     full, so parse_diagram(format_diagram(dia)) is dia again."""
     cat = dia.category
-    identities = set(cat.identity.values())
-    arrows = [f for f in cat.morphisms if f not in identities]
+    arrows = [f for f in cat.morphisms if not cat.is_identity(f)]
     lines = ["ring %s" % dia.ring]
     lines += ["object %s %d" % (x, dia.dims[x]) for x in cat.objects]
     lines += ["morphism %s %s %s" % (f, cat.src(f), cat.tgt(f)) for f in arrows]

@@ -39,16 +39,48 @@ eps(p, j), j = 1..p, is (-1)^{p-1} when q is odd, (-1)^{p-j} when q is even:
 n = 3: (2, 2) -+;  n = 4: (2, 3) --, (3, 2) +-+;  n = 5: (2, 4) -+,
 (3, 3) +++, (4, 2) -+-+;  q = 1 (integer route): (-1)^{p-1} in every slot.
 
-  route    F(p), and Delta at p = 1  composition   d               p
-  quilt    P0(p), 0 at p = 1         compose_sums  boundary_sum    2..n-1
-  mquilt   P_full(p) (_P)            mq_compose    boundary_prime  2..n-1
-  integer  P0_m(p+1) o_1 m (_P1)     mq_compose    none            1..n
+The integer route has no boundary: its d F(n) is its p = 1 and p = n
+pieces.  There F(1) = Delta and deg F(n) = n - 2 (P0_m(n+1) has degree
+n - 1 and the mark takes one off), so eps(1, 1) = +1 and eps(n, j) =
+(-1)^{n-1} = -(-1)^{deg F(n)}, and the two pieces sum to
+Delta o_1 F(n) - (-1)^{deg F(n)} sum_j F(n) o_j Delta = ad_Delta F(n),
+which ad_delta builds by the modification formula (mquilt).  At n = 1
+the two are one piece, Delta o_1 Delta = 0, and ad_Delta(Delta) =
+2 Delta o_1 Delta = 0 (deg Delta = -1).  So every route is d F(n) plus
+the slot compositions for p = 2..n-1:
 
-The residuals are A_n(r_n), and the coinvariant one the quilt r_n in the
-sign-twisted coinvariants.  A_n only relabels keys, as the marked normal
-form commutes with relabelling unmarked labels (mquilt).  r_1 is 0 for
-quilts, boundary_prime(Delta) = 0 marked, and Delta o_1 Delta = 0 on the
-integer route.  The shuffle form is the test oracle _residual_by_shuffles.
+  route    F(p), and Delta at p = 1  composition   d
+  quilt    P0(p), 0 at p = 1         compose_sums  boundary_sum
+  mquilt   P_full(p) (_P)            mq_compose    boundary_prime
+  integer  P0_m(p+1) o_1 m (_P1)     mq_compose    ad_delta
+
+A_n only relabels keys, as the marked normal form commutes with
+relabelling unmarked labels (mquilt).  The verdict is taken in the
+sign-twisted coinvariants: coinvariant_reduce sends a key x of arity a
+to x^to times sgn(to), where to renames its unmarked labels 1..a in
+order of first occurrence and keeps the marks.  Lemma: A_n(r) = 0
+exactly when coinv(r) = 0, for r a sum of keys of arity n over ZZ, QQ or
+any GF(p).
+  (i) Relabelling acts freely.  If x^tau = x, tau maps the word of x onto
+      itself letter by letter, so it fixes every label in the word, and
+      every unmarked label occurs in the word.
+  (ii) A_n(x^tau) = sum over pi of sgn(pi) x^{pi tau} = sgn(tau) A_n(x).
+  (iii) An orbit O has one first-occurrence key x_O, and each x in O is
+      x_O^b with b the inverse of its to, of the same sign.  By (ii)
+      A_n(x) = sgn(b) A_n(x_O), and coinv(x) = sgn(b) x_O.  So A_n(r) =
+      sum over O of C_O A_n(x_O) and coinv(r) = sum over O of C_O x_O,
+      with C_O = sum over x in O of c_x sgn(b).  By (i) the n! keys
+      x_O^pi are distinct, so x_O^pi has coefficient sgn(pi) C_O in
+      A_n(r), and orbits are disjoint: A_n(r) = 0 exactly when every C_O
+      is zero, that is when coinv(r) = 0.  Nothing is divided, so this
+      holds in every ring.
+So coinv(A_n(x)) = n! coinv(x), and A_n is injective on the coinvariants.
+The residuals are A_n(r_n), built only when coinv(r_n) is nonzero, to
+report it, and zero otherwise.  The coinvariant residual is coinv(r_n)
+of the quilt route.  r_1 is 0 for quilts, boundary_prime(Delta) = 0
+marked, and ad_Delta(Delta) = 0 on the integer route.  The shuffle form
+is the test oracle _residual_by_shuffles, and the integer route's p = 1
+and p = n composition pieces the test oracle _ad_delta_by_composition.
 """
 
 from functools import lru_cache
@@ -56,10 +88,10 @@ from functools import lru_cache
 from .formal import FormalSum, combine, linear_combination
 from .rings import ZZ
 from .trees import parity_sign
-from .quilts import Quilt, enumerate_quilts, first_occurrence_quilts
+from .quilts import enumerate_quilts, first_occurrence_quilts
 from .extensions import boundary_sum, compose_sums
-from .mquilt import (antisymmetrize, delta_element, from_quilt, mark, mq_compose,
-                     boundary_prime)
+from .mquilt import (_first_occurrence_renaming, ad_delta, antisymmetrize, boundary_prime,
+                     delta_element, from_quilt, mark, mq_compose)
 
 
 def maximal_quilts(n):
@@ -86,8 +118,7 @@ def P0(n, ring=ZZ):
     """(-1)^{1+n(n-1)/2} times the sum of maximal quilts labelled in
     first-occurrence order: the maximal quilts on which sgn_K is that
     leading sign alone."""
-    firsts = first_occurrence_quilts(n, n - 2) if n >= 2 else []
-    return FormalSum(ring, [(q, sgn_K(q)) for q in firsts])
+    return FormalSum(ring, [(q, sgn_K(q)) for q in first_occurrence_quilts(n, n - 2)])
 
 
 @lru_cache(maxsize=None)
@@ -125,15 +156,14 @@ def L_full(n, ring=ZZ):
 
 
 def _slot_pieces(n, route, ring=ZZ):
-    """The pieces of r_n for a route ("quilt", "mquilt" or "integer"): d F(n)
-    if the route has d, then for each p the sum over the slots j of
-    eps(p, j) F(p) o_j F(q).  The module docstring gives the table."""
-    F, compose, d, least = {"quilt": (P0, compose_sums, boundary_sum, 2),
-                            "mquilt": (_P, mq_compose, boundary_prime, 2),
-                            "integer": (_P1, mq_compose, None, 1)}[route]
-    if d is not None:
-        yield d(F(n, ring))
-    for p in range(least, n + 2 - least):
+    """The pieces of r_n for a route ("quilt", "mquilt" or "integer"): d F(n),
+    then for each p = 2..n-1 the sum over the slots j of eps(p, j)
+    F(p) o_j F(q).  The module docstring gives the table."""
+    F, compose, d = {"quilt": (P0, compose_sums, boundary_sum),
+                     "mquilt": (_P, mq_compose, boundary_prime),
+                     "integer": (_P1, mq_compose, ad_delta)}[route]
+    yield d(F(n, ring))
+    for p in range(2, n):
         q = n + 1 - p
         x, y = F(p, ring), F(q, ring)
         yield linear_combination(ring, (
@@ -146,33 +176,38 @@ def _slot_sum(n, route, ring=ZZ):
     return linear_combination(ring, ((1, piece) for piece in _slot_pieces(n, route, ring)))
 
 
+def _residual(n, route, ring):
+    """A_n(r_n) of a route, built only when coinv(r_n) is nonzero, and zero
+    otherwise (the lemma in the module docstring)."""
+    r = _slot_sum(n, route, ring)
+    return FormalSum(ring) if coinvariant_reduce(r).is_zero() else antisymmetrize(r, n)
+
+
 def linfty_residual_quilt(n, ring=ZZ):
     """d L0_n + the signed shuffled compositions L0_p o_p L0_q, as
     A_n(r_n); zero by the structure theorem."""
-    return antisymmetrize(_slot_sum(n, "quilt", ring), n)
+    return _residual(n, "quilt", ring)
 
 
 def linfty_residual_mquilt(n, ring=ZZ):
     """Same with L_n and the extended boundary in the marked operad."""
-    return antisymmetrize(_slot_sum(n, "mquilt", ring), n)
+    return _residual(n, "mquilt", ring)
 
 
 def linfty_residual_integer_route(n, ring=ZZ):
     """The characteristic-free cross-check: the marked-marked compositions
     sum to zero on the nose, without dividing by two.  Unlike the main
-    relation, arity-one factors (L1_1 is Delta) participate here."""
-    return antisymmetrize(_slot_sum(n, "integer", ring), n)
+    relation, the arity-one factor L1_1 = Delta takes part, as d = ad_Delta."""
+    return _residual(n, "integer", ring)
 
 
 def coinvariant_reduce(s):
-    """Image of a sum of quilts in the coinvariants twisted by sign: each
-    quilt is sent to its first-occurrence-labelled representative times the
-    sign of the relabelling; orbits with odd stabilizer sign die."""
-    def term(q, c):
-        if not isinstance(q, Quilt):
-            raise TypeError("coinvariant_reduce takes quilts, not %s" % (q,))
-        down = q.word.down_order()
-        return q.permute(down), c * parity_sign(down)
+    """Image of a sum of quilts or of marked quilts in the coinvariants
+    twisted by sign: each key relabelled so its unmarked labels first occur
+    as 1..a, times the sign of that relabelling; the marks keep their labels."""
+    def term(x, c):
+        to, back = _first_occurrence_renaming(x)
+        return (x, c) if to is None else (x.relabel(to), c * parity_sign(back))
 
     return FormalSum(s.ring, (term(x, c) for x, c in s.terms.items()))
 

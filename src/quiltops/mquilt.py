@@ -312,16 +312,26 @@ def _component_echelon(start):
     return echelon
 
 
-def _canonical(key):
-    """(canon, to, back): canon is key() of key with its unmarked labels
-    renamed 1, 2, ..., a in order of first occurrence, to[label] that
-    renaming and back its inverse (both None if key is first-occurrence)."""
-    q, a = key.quilt, key.arity
-    down = [x for x in dict.fromkeys(q.word.letters) if x <= a]
+def _first_occurrence_renaming(x):
+    """(to, back) for a quilt or a marked key x of arity a: to[label] renames
+    the unmarked labels 1, 2, ..., a in order of first occurrence and keeps
+    the marks, and back is its inverse, of the same sign.  Both are None if
+    the unmarked labels already first occur in that order."""
+    q, a = (x.quilt, x.arity) if isinstance(x, MQuilt) else (x, x.n)
+    down = [u for u in dict.fromkeys(q.word.letters) if u <= a]
     if down == list(range(1, a + 1)):
-        return key.key(), None, None
+        return None, None
     back = [0] + down + list(range(a + 1, q.n + 1))
-    to = sorted(range(len(back)), key=back.__getitem__)
+    return sorted(range(len(back)), key=back.__getitem__), back
+
+
+def _canonical(key):
+    """(canon, to, back): canon is key() of key renamed by to, and (to, back)
+    is its _first_occurrence_renaming (both None if key is first-occurrence)."""
+    to, back = _first_occurrence_renaming(key)
+    if to is None:
+        return key.key(), None, None
+    q = key.quilt
     return (((q.n, tuple(to[x] for x in q.word.letters)), (q.n,) + q.tree.relabelled(to)),
             key.marks), to, back
 
@@ -517,6 +527,12 @@ def ad_delta(xs):
     with m at a slot only marks that label, with sign +1 (see mark).  So
     x contributes the modifications of its quilt, signed by the degree of
     that quilt, with the marks of x and N+1.
+
+    This is the d of the integer L-infinity route (linfty): for its F(n),
+    of degree n - 2, ad_Delta F(n) is the relation's Delta o_1 F(n) and
+    F(n) o_j Delta pieces, which the test oracle _ad_delta_by_composition
+    builds by composing with Delta: 0.69 against 2.25 s at n = 6, this
+    first on cold tables (2-core x86, Python 3.11).
     """
     def triples():
         for x, c in xs.terms.items():

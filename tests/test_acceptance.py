@@ -18,8 +18,8 @@ from quiltops.quilts import parse_quilt, enumerate_quilts
 from quiltops.extensions import (boundary, boundary_sum, compose, compose_sums,
                                  tree_extensions, word_extensions)
 from quiltops.homology import build_complex, homology_ranks
-from quiltops.mquilt import verify_identity, IDENTITY_NAMES
-from quiltops.linfty import (linfty_residual_quilt, linfty_residual_mquilt,
+from quiltops.mquilt import antisymmetrize, verify_identity, IDENTITY_NAMES
+from quiltops.linfty import (_slot_sum, linfty_residual_quilt, linfty_residual_mquilt,
                              linfty_residual_coinvariant,
                              linfty_residual_integer_route)
 from quiltops.cochains import (act, delta_S, delta_total, mc_residual,
@@ -171,6 +171,8 @@ def test_criterion_7_linfty():
 def test_criterion_7_deep_mquilt_arity5():
     t0 = time.time()
     assert linfty_residual_mquilt(5).is_zero()
+    # the verdict above is taken in the coinvariants; A_5 itself is built too
+    assert antisymmetrize(_slot_sum(5, "mquilt"), 5).is_zero()
     report("7d mquilt L-infinity n=5", t0, 10)
 
 

@@ -166,6 +166,17 @@ def test_verify_linfty_coinvariant(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("target", ["quilt", "coinvariant"])
+def test_verify_linfty_quilt_arity6(capsys, target):
+    # the quilt routes run at arity 6 without --deep
+    code, out, err = run(["verify", "linfty", "--max-arity", "6", "--target", target,
+                          "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    checks = json.loads(out)["checks"]
+    assert checks[-1]["check"].endswith("n=6")
+    assert all(c["status"] == "PASS" and c["residual"] == "" for c in checks)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--max-arity", "1"], "leaves nothing to check"),
     (["--max-arity", "6", "--target", "mquilt"], "needs --deep"),
@@ -217,6 +228,20 @@ def test_rep_check_diagram(tmp_path, capsys):
                                   "matrix gamma 1 1 0 1"))
     code, out, _ = run(["rep", "check-diagram", "--diagram", str(p2)], capsys)
     assert code == 1 and "INVALID" in out
+
+
+def test_rep_check_diagram_identity_names(tmp_path, capsys):
+    # an arrow named id_q is an ordinary arrow; one named for y's identity
+    # would replace it, so it is refused on its line
+    p = tmp_path / "dia.txt"
+    p.write_text(DIAGRAM.replace("gamma", "id_q"))
+    code, out, err = run(["rep", "check-diagram", "--diagram", str(p)], capsys)
+    assert code == 0 and out == "VALID\n" and err == ""
+    p.write_text(DIAGRAM.replace("gamma", "id_y"))
+    code, out, err = run(["rep", "check-diagram", "--diagram", str(p)], capsys)
+    assert code == 2
+    assert out == "" and "line 4: morphism 'id_y' takes the name of an identity" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_rep_delta_and_mc(tmp_path, capsys):

@@ -29,6 +29,15 @@ def test_parse_and_validate():
     assert d.category.compose("id_y", "gamma") == "gamma"
 
 
+def test_identities_are_known_by_name():
+    # an arrow whose name starts "id_" is not an identity unless it names one
+    d = parse_diagram(DIAGRAM_TEXT.replace("gamma", "id_q"))
+    cat = d.category
+    assert not cat.is_identity("id_q") and cat.is_identity("id_x")
+    assert cat.compose("id_y", "id_q") == cat.compose("id_q", "id_x") == "id_q"
+    assert d.matrix("id_y") == {(0, 0): 1, (1, 1): 1}
+
+
 def test_one_object_trivial():
     d = parse_diagram("ring Q\nobject x 1\nmult x 1 1 1 1\n")
     assert d.dims["x"] == 1
@@ -201,10 +210,11 @@ def test_multiply_matches_oracle(dia):
 
 
 @pytest.mark.parametrize("dia", [*SUITE_DIAGRAMS.values(), parse_diagram(DIAGRAM_TEXT),
+                                 parse_diagram(DIAGRAM_TEXT.replace("gamma", "id_q")),
                                  parse_diagram(THREE_OBJECTS), category_two_diagram(QQ, 2),
                                  one_object_diagram(GF2, 2)],
-                         ids=[*SUITE_DIAGRAMS, "two-objects", "three-objects", "diag-QQ",
-                              "one-object-GF2"])
+                         ids=[*SUITE_DIAGRAMS, "two-objects", "arrow-named-id_q",
+                              "three-objects", "diag-QQ", "one-object-GF2"])
 def test_format_round_trip(dia):
     # format(parse(format(d))) == format(d), and the reparsed diagram has
     # the same ring, category, algebras and matrices

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -10,9 +11,10 @@ from quiltops.linfty import (maximal_quilts, sgn_K, L0, L1, L_full, P0,
                              P0_m, P_full, linfty_residual_quilt,
                              linfty_residual_mquilt, linfty_residual_coinvariant,
                              linfty_residual_integer_route, coinvariant_reduce)
-from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt
+from quiltops.quilts import Quilt, enumerate_quilts, first_occurrence_quilts, parse_quilt
 from quiltops.mquilt import (MQuilt, from_quilt, m_element, mark, mq_compose, delta_element,
-                             gerstenhaber_element, mq_permute, boundary_prime, antisymmetrize)
+                             gerstenhaber_element, mq_permute, boundary_prime, antisymmetrize,
+                             ad_delta)
 
 
 def sgn_of(p):
@@ -283,16 +285,20 @@ def _assert_slot_pieces_match_shuffle_oracle(n, ring):
     for route, residual in RESIDUALS.items():
         got = [antisymmetrize(x, n) for x in linfty._slot_pieces(n, route, ring)]
         want = _residual_by_shuffles(n, route, ring)
+        nonzero += sum(not w.is_zero() for w in want)
+        if route == "integer":
+            # its d piece, ad_Delta F(n), is the shuffle form's p = 1 and p = n
+            # pieces together (one piece at n = 1, Delta o_1 Delta = 0)
+            want = [combine(want[0], want[-1])] + want[1:-1]
         assert got == want, (n, route, ring)
         assert residual(n, ring) == linear_combination(ring, ((1, w) for w in want))
-        nonzero += sum(not w.is_zero() for w in want)
     return nonzero
 
 
 def test_slot_pieces_match_shuffle_oracle():
-    # A_n of each piece of r_n (the boundary piece and one piece per p) is
-    # the same sum as the piece of the shuffle form; at arity 1 both are
-    # d of Delta or nothing, and only Delta o_1 Delta composes
+    # A_n of each piece of r_n (the d piece and one piece per p) is the same
+    # sum as the piece of the shuffle form; at arity 1 both are d of Delta
+    # or nothing, and only Delta o_1 Delta composes
     for ring in (ZZ, QQ, GF2):
         counts = [_assert_slot_pieces_match_shuffle_oracle(n, ring) for n in range(1, 5)]
         assert counts == [0, 2, 7, 10], ring
@@ -302,6 +308,105 @@ def test_slot_pieces_match_shuffle_oracle():
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["ZZ", "QQ", "GF2"])
 def test_slot_pieces_5_match_shuffle_oracle(ring):
     assert _assert_slot_pieces_match_shuffle_oracle(5, ring) == 13
+
+
+def _ad_delta_by_composition(n, ring):
+    """Oracle for the integer route's d piece ad_delta(F(n)): the shuffle
+    form's p = 1 and p = n pieces at first occurrence, Delta o_1 F(n) +
+    (-1)^{n-1} sum_j F(n) o_j Delta, composed with Delta."""
+    F, delta = linfty._P1(n, ring), delta_element(ring)
+    sign = -1 if (n - 1) % 2 else 1
+    return linear_combination(ring, [(1, mq_compose(delta, 1, F))] +
+                              [(sign, mq_compose(F, j, delta)) for j in range(1, n + 1)])
+
+
+def test_ad_delta_matches_composition_oracle():
+    for ring in (ZZ, QQ, GF2):
+        for n in range(1, 6):
+            want = _ad_delta_by_composition(n, ring)
+            assert ad_delta(linfty._P1(n, ring)) == want, (n, ring)
+            assert want.is_zero() == (n <= 2), (n, ring)
+
+
+def _fixers(x, a):
+    """The relabellings of the unmarked labels 1..a of a quilt or marked key
+    x that fix it, each as the tuple of images of 1..a."""
+    top = (x.quilt if isinstance(x, MQuilt) else x).n
+    return [p for p in itertools.permutations(range(1, a + 1))
+            if x.relabel((0,) + p + tuple(range(a + 1, top + 1))) == x]
+
+
+def test_relabelling_acts_freely():
+    # lemma (i): only the identity fixes a quilt or a marked key.  A key of
+    # arity a with k marks is, up to relabelling its unmarked labels and
+    # its marks (which commute with fixing it), a first-occurrence quilt of
+    # a + k labels with k of them moved to the top and marked, so this is
+    # every key of arity <= 4 with at most two marks on at most five labels
+    checked = 0
+    for size in range(1, 6):
+        for q in first_occurrence_quilts(size):
+            for k in range(3):
+                a = size - k
+                if not 1 <= a <= 4:
+                    continue
+                for marks in itertools.combinations(range(1, size + 1), k):
+                    order = [u for u in range(1, size + 1) if u not in marks] + list(marks)
+                    new = [0] * (size + 1)
+                    for i, u in enumerate(order, 1):
+                        new[u] = i
+                    x = MQuilt(q.relabel(new), k) if k else q.relabel(new)
+                    assert _fixers(x, a) == [tuple(range(1, a + 1))], (x, a)
+                    checked += 1
+    assert checked == 7025
+    # arity 4 with two marks has six labels: the keys the relations reach
+    keys = {x for route in ("mquilt", "integer") for piece in linfty._slot_pieces(4, route)
+            for x in piece.keys() if x.marks == 2}
+    assert len(keys) == 17
+    for x in keys:
+        assert _fixers(x, 4) == [(1, 2, 3, 4)], x
+
+
+def test_coinvariants_of_antisymmetrized_sums():
+    # coinv(A_n(x)) = n! coinv(x), on quilt sums and on marked sums, with
+    # first-occurrence keys and without
+    for ring in (ZZ, QQ):
+        for n in (2, 3, 4):
+            sums = [P0(n, ring), P_full(n, ring), linfty._P1(n, ring),
+                    mq_permute(P_full(n, ring), list(range(n, 0, -1)))]
+            sums += [x for route in RESIDUALS for x in linfty._slot_pieces(n, route, ring)]
+            for x in sums:
+                if x.is_zero():
+                    continue
+                want = coinvariant_reduce(x).scale(math.factorial(n))
+                assert coinvariant_reduce(antisymmetrize(x, n)) == want, (n, x)
+
+
+def _flip_piece(i, pieces=linfty._slot_pieces):
+    """A _slot_pieces that negates piece i of r_n."""
+    def flipped(n, route, ring=ZZ):
+        for k, piece in enumerate(pieces(n, route, ring)):
+            yield -piece if k == i else piece
+    return flipped
+
+
+def test_verdicts_see_a_sign_flip(monkeypatch):
+    # with one piece of r_n negated (i = -1 negates none), r_n is no longer
+    # a relation: the coinvariant image is nonzero exactly when A_n(r_n) is,
+    # and every residual is A_n(r_n).  GF(2) cannot see a sign flip
+    for ring in (ZZ, QQ):
+        nonzero = []
+        for n in (3, 4):
+            for route, residual in RESIDUALS.items():
+                for i in range(-1, n - 1):
+                    monkeypatch.setattr(linfty, "_slot_pieces", _flip_piece(i))
+                    r = linfty._slot_sum(n, route, ring)
+                    full, image = antisymmetrize(r, n), coinvariant_reduce(r)
+                    assert image.is_zero() == full.is_zero(), (n, route, i, ring)
+                    assert residual(n, ring) == full, (n, route, i, ring)
+                    if route == "quilt":
+                        assert linfty_residual_coinvariant(n, ring) == image
+                    nonzero.append(not full.is_zero())
+        assert nonzero == ([False] + [True] * 2) * 3 + ([False] + [True] * 3) * 3, ring
 
 
 def test_residuals_vanish_at_arity_1():
@@ -354,13 +459,15 @@ def test_coinvariant_reduce():
     assert list(r.terms.values()) == [2]
 
 
-def test_coinvariant_reduce_refuses_marked_keys():
-    # the sign-twisted reduction is defined on quilts; a marked key (marked
-    # or not) is refused by name, not merged into a wrong quilt
+def test_coinvariant_reduce_of_marked_keys():
+    # a marked key keeps its marks and renames only its unmarked labels: with
+    # 4 marked, 1, 2, 3 already first occur in order; unmarked, 4 1 2 3 is
+    # renamed 1 2 3 4, a 4-cycle, so the term changes sign
     q = parse_quilt("412131;4(2(3),1)")
     s = FormalSum(ZZ, [(MQuilt(q, 1), 1), (MQuilt(q, 0), 1)])
-    with pytest.raises(TypeError, match=r"412131;4\(2\(3\),1\)"):
-        coinvariant_reduce(s)
+    r = coinvariant_reduce(s)
+    assert {str(k): c for k, c in r.items()} == {"412131;4(2(3),1)[m4]": 1,
+                                                 "123242;1(3(4),2)": -1}
 
 
 def test_residual_mquilt_arity4():
