@@ -311,9 +311,9 @@ def test_slot_pieces_5_match_shuffle_oracle(ring):
 
 
 def _ad_delta_by_composition(n, ring):
-    """Oracle for the integer route's d piece ad_delta(F(n)): the shuffle
-    form's p = 1 and p = n pieces at first occurrence, Delta o_1 F(n) +
-    (-1)^{n-1} sum_j F(n) o_j Delta, composed with Delta."""
+    """Oracle for the integer route's d piece ad_delta(F(n)), built by
+    composing with Delta: Delta o_1 F(n) + (-1)^{n-1} sum_j F(n) o_j Delta,
+    the shuffle form's p = 1 and p = n pieces at first occurrence."""
     F, delta = linfty._P1(n, ring), delta_element(ring)
     sign = -1 if (n - 1) % 2 else 1
     return linear_combination(ring, [(1, mq_compose(delta, 1, F))] +
@@ -337,11 +337,12 @@ def _fixers(x, a):
 
 
 def test_relabelling_acts_freely():
-    # lemma (i): only the identity fixes a quilt or a marked key.  A key of
-    # arity a with k marks is, up to relabelling its unmarked labels and
-    # its marks (which commute with fixing it), a first-occurrence quilt of
-    # a + k labels with k of them moved to the top and marked, so this is
-    # every key of arity <= 4 with at most two marks on at most five labels
+    # lemma (i): only the identity fixes a quilt or a marked key.  Whether
+    # a key has a fixer does not change under relabelling its unmarked
+    # labels or renaming its marks, and up to those a key of arity a with k
+    # marks is a first-occurrence quilt of a + k labels with k of them moved
+    # to the top and marked: so this is every key of arity <= 4 with at most
+    # two marks on at most five labels
     checked = 0
     for size in range(1, 6):
         for q in first_occurrence_quilts(size):
