@@ -2,8 +2,8 @@
 
 Every verification suite is a thin driver over module operations; the
 exit code is 0 exactly when all checks pass, so CI can gate on the
-identities.  Arity-6 homology and the marked L-infinity relation from
-arity 6 sit behind --deep: without it such a request exits 2 before any check
+identities.  Homology from arity 6 and the marked L-infinity relation from
+arity 7 sit behind --deep: without it such a request exits 2 before any check
 runs, as does a --max-arity that leaves nothing to check or a homology
 --arity below 1, so a PASS never hides a skipped or empty suite.  Bad
 input to a calculator (an operand that does not parse or is empty, an
@@ -176,7 +176,7 @@ def _verify_linfty(args):
         print("--max-arity %d leaves nothing to check: the relations start at "
               "arity 2" % top, file=sys.stderr)
         return 2
-    if args.target == "mquilt" and top >= 6 and not args.deep:
+    if args.target == "mquilt" and top >= 7 and not args.deep:
         print("mquilt relation at arity %d needs --deep" % top, file=sys.stderr)
         return 2
     checks = {"quilt": [("quilt relation", linfty_residual_quilt)],

@@ -6,8 +6,8 @@ a matrix that must be an algebra homomorphism, functorially in the
 category.  The text format mirrors this: a ring line, objects with
 dimensions, morphisms with source and target, a total composition table
 for the non-identity composable pairs, structure constants as
-(i, j, k, value) quadruples, and row-major matrices.  parse_diagram
-reads it and format_diagram writes it.
+(i, j, k, value) quadruples, and row-major matrices, each declared
+once.  parse_diagram reads it and format_diagram writes it.
 """
 
 from fractions import Fraction
@@ -244,7 +244,7 @@ def parse_diagram(text, validate=True):
     table = {}
     mult = {}
     matrix_rows = {}
-    where = {}    # (keyword, name) -> line, for the reference checks below
+    where = {}    # (keyword, name) -> line, for repeats and the reference checks
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -256,29 +256,32 @@ def parse_diagram(text, validate=True):
         try:
             if kw != "matrix" and len(parts) != len(_USAGE[kw].split()):
                 raise ValueError
+            key = parts[1] if kw in ("object", "morphism", "matrix") else None
             if kw == "ring":
                 ring = parse_ring(parts[1])
             elif kw == "object":
-                objects.append(parts[1])
-                dims[parts[1]] = int(parts[2])
-                mult[parts[1]] = {}
+                objects.append(key)
+                dims[key] = int(parts[2])
+                mult[key] = {}
             elif kw == "morphism":
-                morphisms[parts[1]] = (parts[2], parts[3])
-                where[kw, parts[1]] = lineno
+                morphisms[key] = (parts[2], parts[3])
             elif kw == "compose":
-                table[(parts[1], parts[2])] = parts[3]
-                where[kw, (parts[1], parts[2])] = lineno
+                key = (parts[1], parts[2])
+                table[key] = parts[3]
             elif kw == "mult":
-                x, i, j, k = parts[1], int(parts[2]), int(parts[3]), int(parts[4])
+                key = x, i, j, k = parts[1], int(parts[2]), int(parts[3]), int(parts[4])
                 mult[x][(i - 1, j - 1, k - 1)] = Fraction(parts[5])
             else:
-                matrix_rows[parts[1]] = [Fraction(v) for v in parts[2:]]
-                where[kw, parts[1]] = lineno
+                matrix_rows[key] = [Fraction(v) for v in parts[2:]]
         except RingError as e:
             raise DiagramSyntaxError("line %d: %s" % (lineno, e)) from None
         except (ValueError, IndexError, KeyError, ZeroDivisionError):
             raise DiagramSyntaxError("line %d: expected '%s'"
                                      % (lineno, _USAGE[kw])) from None
+        if (kw, key) in where:
+            raise DiagramSyntaxError("line %d: %r repeats the %s of line %d"
+                                     % (lineno, line, kw, where[kw, key]))
+        where[kw, key] = lineno
 
     def check(kw, key, kind, names, declared):
         for name in names:

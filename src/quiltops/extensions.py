@@ -13,6 +13,32 @@ positions in the inner word; tree extensions from weakly increasing maps
 sending the children of a to corners of the inner tree.  The exponential
 filter over all candidates survives only in the test oracles.
 
+Extension lemma: for words W and V every word extension E is a word, for
+trees T and S every tree extension X is a tree, and for quilts (W, T) and
+(V, S) every such (E, X) is a quilt, so all three are built unchecked.
+Inner letters are alpha's image.
+  - E: surjective.  Outer and inner letters differ, and two pieces never
+    meet (W has no repeat a a), so a repeat would lie in a piece, inside
+    V.  The inner letters read V with cut letters doubled in place, so
+    interlacing among them is interlacing in V; among outer letters it is
+    in W; and u v u v with one of them inner is, with a for that one,
+    u a u a or a u a u in W.
+  - X: S's root takes a's place and a's children hang at corners of S, so
+    every vertex but the root has one parent and reaches the root.  Two
+    inner vertices relate as in S, an inner vertex and an outer one not
+    below a as a does in T, and two outer vertices as in T: under
+    children c before d of a they hang at corners in corner-word order,
+    which is preorder, so c's subtree stays left of d's.
+  - Axiom (1), edge by edge (check_axioms): edges of S, and of T away
+    from a, keep their order, pieces reading V in order; an edge from a's
+    parent to S's root, or from an inner vertex to a child of a, is
+    ordered as a's edge was, every inner letter sitting at an a.
+  - Axiom (2): between two occurrences of an outer u lie outer letters,
+    left of u in T, and pieces at an a between them, so a and every inner
+    vertex are left of u.  Between two of an inner u lie inner letters,
+    between two u's of V, and outer letters between two a's of W, left of
+    a and so of every inner vertex.
+
 A face deletes one occurrence, at position i, of a vertex u that occurs
 more than once.  Face lemma: a face of a valid word is a valid word, and
 with the same tree a face of a quilt is a quilt.
@@ -26,9 +52,8 @@ with the same tree a face of a quilt is a quilt.
     outside, so u x u x or x u x u: interlacing.
 The last is the one condition a subsequence does not inherit, and _deleted
 checks it in O(1).  _built then makes the face with the unchecked
-constructors Word._unchecked and Quilt._unchecked, also used by relabel
-(quilts).  No letter repeats consecutively, so the faces of a word are
-distinct.
+constructors.  No letter repeats consecutively, so the faces of a word
+are distinct.
 
 Both boundaries hand FormalSum._unchecked a dict that is already canonical.
 boundary: the faces of one word are distinct and their signs are +-1.
@@ -128,6 +153,7 @@ def tree_extensions(outer, inner, a):
     N = n + m - 1
     beta_inv = lambda u: u if u < a else u + n - 1
     inner_root = inner.root + a - 1
+    root = inner_root if outer.root == a else beta_inv(outer.root)
     corners = inner.corner_word()
     kids_a = outer.children[a]
     r = len(kids_a)
@@ -155,11 +181,7 @@ def tree_extensions(outer, inner, a):
             inserted.setdefault(key, []).append(beta_inv(child))
         for u, j in sorted(inserted, reverse=True):  # right to left, so j stays put
             children[u][j:j] = inserted[u, j]
-        parent = [0] * (N + 1)
-        for u in range(1, N + 1):
-            for c in children[u]:
-                parent[c] = u
-        out.append(Tree(tuple(parent), tuple(tuple(c) for c in children)))
+        out.append(Tree._unchecked(tuple(map(tuple, children)), root))
     return out
 
 
@@ -184,7 +206,7 @@ def word_extensions(outer, inner, a):
                       for i in range(r + 1))
         letters = [y for x in outer.letters
                    for y in (next(pieces) if x == a else (beta_inv(x),))]
-        out.append(Word(tuple(letters), n + m - 1))
+        out.append(Word._unchecked(tuple(letters), n + m - 1))
     return out
 
 
@@ -210,12 +232,14 @@ def extension_sign(outer, inner, a, ext_word):
 
 
 def quilt_extensions(outer, inner, a):
-    """Pairs of word and tree extensions; every pair is a valid quilt."""
+    """Pairs of word and tree extensions, each a quilt by the extension
+    lemma, with the word's sign."""
+    words = word_extensions(outer.word, inner.word, a)
+    trees = tree_extensions(outer.tree, inner.tree, a)
     out = []
-    for w in word_extensions(outer.word, inner.word, a):
+    for w in words:
         s = extension_sign(outer.word, inner.word, a, w)
-        for t in tree_extensions(outer.tree, inner.tree, a):
-            out.append((Quilt(w, t), s))
+        out.extend((Quilt._unchecked(w, t), s) for t in trees)
     return out
 
 

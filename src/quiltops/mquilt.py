@@ -59,6 +59,34 @@ change which echelon a key gets.  Each family is a relation, so a zero
 residual is zero.  A nonzero one could still be zero in the operad if a
 family from a later adjacent class word left the row space; that is tested
 only on the keys the identities and the relations through arity 5 reach.
+
+Three lemmas let ad_delta and _families build unchecked (_inserted,
+modification, _families).  Relations below are in the tree; axiom (1) is
+taken edge by edge, as in check_axioms.
+  Insertion lemma: a letter new to a word, inserted anywhere, keeps it a
+  word: it is surjective, and the new letter, occurring once, neither
+  repeats nor interlaces.
+  Modification lemma: modification(q, ...) is a quilt.  The new vertex
+  n+1 goes onto the edge above u, adopting u and u's first or last child
+  v (kinds 3, 4), or under u, adopting two consecutive children (kind 5):
+  a tree, in which two old vertices relate as in q, except v's subtree,
+  below u before and beside it now.  In the word n+1 sits right before
+  u's first occurrence (3, 4), after its parent's last and before v's
+  first, or right after u's last (5), before its new children's first, so
+  the new edges keep axiom (1).  Axiom (2): n+1 occurs once; the pairs
+  axiom (2) relates are incomparable, so unchanged; and n+1 between two
+  occurrences of x puts u, next to it, between them too, so u is left of
+  x, and so is n+1, in u's place (3, 4) or below u (5).
+  Redistribution lemma: every member of a family is a quilt.  Its word
+  is the key's first adjacent class word (_signatures) renamed, v named N,
+  and with the key's tree T, renamed alike, a quilt (class-word and
+  relabelling lemmas).  Each member's tree is the contracted tree with N added under u
+  over a block of u's combined children, T among them: a tree, in which
+  vertices other than N relate as in T.  The new edges (u, N), (u, c) and
+  (N, c) keep axiom (1): u, then N, then every child c of u or v in T.
+  Axiom (2): u and N are marked, so occur once; other pairs relate as in
+  T; and N between two occurrences of x puts u, just before N, between
+  them, so u is left of x, and so is N below it.
 """
 
 from functools import lru_cache
@@ -257,20 +285,19 @@ def _signatures(key):
 def _families(signature):
     """The R1 family of a signature as the prenormal (member, sign) pairs
     of a zero sum: u keeps a prefix and suffix of its children around its
-    new child N, placed right after u in the word, and N the middle block."""
+    new child N, placed right after u in the word, and N the middle block.
+    Each member is a quilt by the redistribution lemma (module docstring)."""
     top, letters, parent, children, u = signature
-    N, combined = len(parent), children[u]
+    N, combined, root = len(parent), children[u], parent.index(0, 1)
     mset = frozenset(range(top + 1, N + 1))
-    i = letters.index(u) + 1
-    word = Word(letters[:i] + (N,) + letters[i:], N)
+    word = _inserted(letters, letters.index(u) + 1, N)
     members = []
     for i in range(len(combined) + 1):
         for j in range(i, len(combined) + 1):
-            par, kids = list(parent) + [u], list(children) + [combined[i:j]]
+            kids = list(children) + [combined[i:j]]
             kids[u] = combined[:i] + (N,) + combined[j:]
-            for c in combined[i:j]:
-                par[c] = N
-            pre = _prenormal(Quilt(word, Tree(par, kids)), mset)
+            tree = Tree._unchecked(tuple(kids), root)
+            pre = _prenormal(Quilt._unchecked(word, tree), mset)
             if pre is not None:
                 members.append(pre)
     return tuple(members)
@@ -464,14 +491,10 @@ def antisymmetrize(xs, n):
                                         for p in permutations(range(1, n + 1))))
 
 
-def _insert_before_first(word, u, new):
-    i = word.letters.index(u)
-    return Word(word.letters[:i] + (new,) + word.letters[i:], word.n + 1)
-
-
-def _insert_after_last(word, u, new):
-    i = max(word.occurrences(u))
-    return Word(word.letters[:i + 1] + (new,) + word.letters[i + 1:], word.n + 1)
+def _inserted(letters, i, new):
+    """The word of letters, on the labels below new, with the letter new
+    inserted at position i: a word by the insertion lemma."""
+    return Word._unchecked(letters[:i] + (new,) + letters[i:], new)
 
 
 def modification(q, kind, u, pair=None):
@@ -481,37 +504,35 @@ def modification(q, kind, u, pair=None):
     kind 3: n+1 takes u's place, over u's first child v and u, in order (v, u);
     kind 4: like 3 with the last child w, but n+1 has children (u, w);
     kind 5: n+1 replaces the consecutive children pair (v, w) of u.
+
+    A quilt by the modification lemma (module docstring), built unchecked.
     """
     new = q.n + 1
     tree, word = q.tree, q.word
-    parent = list(tree.parent) + [0]
     children = [list(c) for c in tree.children] + [[]]
+    root = tree.root
     if kind in (3, 4):
         v = tree.children[u][0] if kind == 3 else tree.children[u][-1]
         p = tree.parent[u]
         if p:
             children[p][children[p].index(u)] = new
-        parent[new] = p
+        else:
+            root = new
         children[u].remove(v)
-        parent[u] = new
-        parent[v] = new
         children[new] = [v, u] if kind == 3 else [u, v]
-        w2 = _insert_before_first(word, u, new)
+        i = word.letters.index(u)
     elif kind == 5:
         v, w = pair
         if tuple(pair) not in zip(tree.children[u], tree.children[u][1:]):
             raise ValueError("(%r, %r) is not a consecutive pair of children of %r" % (v, w, u))
         i = tree.children[u].index(v)
         children[u][i:i + 2] = [new]
-        parent[new] = u
-        parent[v] = new
-        parent[w] = new
         children[new] = [v, w]
-        w2 = _insert_after_last(word, u, new)
+        i = max(word.occurrences(u)) + 1
     else:
         raise ValueError("unknown modification kind %r" % kind)
-    t2 = Tree(tuple(parent), tuple(tuple(c) for c in children))
-    return Quilt(w2, t2)
+    t2 = Tree._unchecked(tuple(map(tuple, children)), root)
+    return Quilt._unchecked(_inserted(word.letters, i, new), t2)
 
 
 def ad_delta(xs):

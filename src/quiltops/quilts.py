@@ -9,8 +9,8 @@ The two axioms:
 The degree of a quilt is the degree of its word.
 
 Quilt() validates after its Word and Tree have, by check_axioms: linear
-for axiom (1), at most n times the length for axiom (2).  Faces (the face
-lemma in extensions) and relabellings (below) skip it through _unchecked.
+for axiom (1), at most n times the length for axiom (2).  Quilts a lemma
+proves valid skip it through _unchecked, as Word's docstring lists.
 
 Relabelling lemma: renaming each vertex u to new[u], for a permutation new
 of 1..n, keeps every word condition and both axioms.  They are stated

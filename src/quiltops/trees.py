@@ -14,6 +14,8 @@ nested or disjoint in planar order, so u <= v iff
 pre[u] <= pre[v] <= end[u], and u <| v iff end[u] < pre[v].
 
 Vertices are 1-based throughout; relabel renames them (lemma in quilts).
+Tree() checks the parent and child lists, then walks the tree (_walk);
+trees a lemma proves valid skip the checks, not the walk (_unchecked).
 
 Orbit lemma.  Write t^tau for t renamed by u -> tau[u].  Renaming
 composes: (t^tau)^pi = t^(pi o tau), since each vertex u of t is named
@@ -64,30 +66,18 @@ class Tree:
                     raise TreeInvalid("children inconsistent with parent")
         if len(seen) != n - 1 or children[0]:
             raise TreeInvalid("child lists must partition the non-root vertices")
-        # acyclicity / reachability of the root; preorder, children left to right
-        depth = [0] * (n + 1)
-        pre = [0] * (n + 1)
-        order = []
-        stack = [roots[0]]
-        while stack:
-            u = stack.pop()
-            pre[u] = len(order)
-            order.append(u)
-            for c in reversed(children[u]):
-                depth[c] = depth[u] + 1
-                stack.append(c)
+        order, _, *walk = _walk(children, roots[0])
         if len(order) != n:
             raise TreeInvalid("parent links contain a cycle or unreachable vertex")
-        end = pre[:]
-        for u in reversed(order):
-            if children[u]:
-                end[u] = end[children[u][-1]]
-        self._set(parent, children, roots[0], tuple(depth), tuple(pre), tuple(end))
+        self._set(parent, children, roots[0], *walk)
 
     @classmethod
-    def _unchecked(cls, *slots):
-        """A tree already known to be valid: a relabelling (see relabel)."""
-        return object.__new__(cls)._set(*slots)
+    def _unchecked(cls, children, root, *slots):
+        """A tree already known to be valid, from its tuple of child tuples
+        and its root: a relabelling passes its parent tuple and walk too (see
+        relabel), any other build gets them from _walk."""
+        parent, *walk = slots or _walk(children, root)[1:]
+        return object.__new__(cls)._set(parent, children, root, *walk)
 
     def _set(self, parent, children, root, depth, pre, end):
         self.n, self.parent, self.children, self._root = len(parent) - 1, parent, children, root
@@ -171,8 +161,9 @@ class Tree:
         if set(new[1:self.n + 1]) != set(range(1, self.n + 1)):
             raise TreeInvalid("relabelling %r is not a permutation of 1..%d" % (new, self.n))
         old = itemgetter(*_invert(new[1:self.n + 1], self.n))
-        walk = old(self._depth), old(self._pre), old(self._end)
-        return Tree._unchecked(*self.relabelled(new), new[self._root], *walk)
+        parent, children = self.relabelled(new)
+        return Tree._unchecked(children, new[self._root], parent,
+                               old(self._depth), old(self._pre), old(self._end))
 
     def __str__(self):
         def fmt(u):
@@ -183,6 +174,27 @@ class Tree:
         return fmt(self._root)
 
     __repr__ = __str__
+
+
+def _walk(children, root):
+    """(order, parent, depth, pre, end) of the depth-first walk from root,
+    children left to right: the vertices reached in preorder, the parent
+    each is reached from, and the Euler-tour arrays of the module docstring,
+    indexed by vertex."""
+    parent, depth, pre = [0] * len(children), [0] * len(children), [0] * len(children)
+    order, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        pre[u] = len(order)
+        order.append(u)
+        for c in reversed(children[u]):
+            parent[c], depth[c] = u, depth[u] + 1
+            stack.append(c)
+    end = pre[:]
+    for u in reversed(order):
+        if children[u]:
+            end[u] = end[children[u][-1]]
+    return order, tuple(parent), tuple(depth), tuple(pre), tuple(end)
 
 
 def _invert(sigma, n):

@@ -7,9 +7,9 @@ last-first pairs.
 
 Word() validates, in time linear in its length: surjectivity onto 1..n
 (one set), no consecutive repeat (one pass) and no interlacing (one pass
-with a stack, _check_interlacing).  Faces (the face lemma in extensions)
-skip it through _unchecked, and so do relabellings: renaming the vertices
-keeps all three conditions (the relabelling lemma in quilts).  A word's
+with a stack, _check_interlacing).  Words a lemma proves valid skip it
+through _unchecked: faces and extensions (extensions), relabellings (quilts)
+and the marked normal form's words (mquilt).  A word's
 down-order names the one renaming under which its vertices first occur as
 1, ..., n.  So the words of arity n are in bijection with the pairs
 (first-occurrence word, permutation of 1..n); only the former are grown.

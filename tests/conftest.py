@@ -6,6 +6,22 @@ import pytest
 from quiltops.rings import QQ, GF2
 from quiltops.diagrams import FiniteCategory, DiagramOfAlgebras
 from quiltops.cochains import Cochain
+from quiltops.quilts import Quilt
+from quiltops.trees import Tree
+from quiltops.words import Word
+
+
+def assert_as_validated(x):
+    """x, a word, tree or quilt built unchecked by some lemma, passes the
+    validating constructors, which rebuild its word and tree slot by slot
+    (the Euler-tour arrays included)."""
+    for part in (x.word, x.tree) if isinstance(x, Quilt) else (x,):
+        want = (Word(part.letters, part.n) if isinstance(part, Word)
+                else Tree(part.parent, part.children))
+        slots = type(part).__slots__
+        assert [getattr(part, s) for s in slots] == [getattr(want, s) for s in slots], x
+    if isinstance(x, Quilt):
+        Quilt(x.word, x.tree)
 
 
 def upper_triangular_to_diagonal(ring=QQ):

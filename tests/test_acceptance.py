@@ -1,15 +1,19 @@
 """Acceptance suite: one check per criterion, timed against its budget.
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
-criterion, the arity-5 marked L-infinity relation included.
+criterion, the arity-5 and arity-6 marked L-infinity relations included.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import quiltops
 from quiltops.rings import QQ, GF2, ZZ
 from quiltops.formal import FormalSum, parse_formal
 from quiltops.words import parse_word, enumerate_words
@@ -174,6 +178,20 @@ def test_criterion_7_deep_mquilt_arity5():
     # the verdict above is taken in the coinvariants; A_5 itself is built too
     assert antisymmetrize(_slot_sum(5, "mquilt"), 5).is_zero()
     report("7d mquilt L-infinity n=5", t0, 10)
+
+
+def test_criterion_7_mquilt_arity6_command():
+    # the marked relation and its integer route through arity 6, without
+    # --deep, in a fresh process with empty memo tables, as a user runs them
+    t0 = time.time()
+    argv = ["verify", "linfty", "--target", "mquilt", "--max-arity", "6"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quiltops.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys; from quiltops.cli import main; "
+                          "sys.exit(main(%r))" % argv], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines()[-1] == "linfty: 10/10 checks passed"
+    report("7 mquilt L-infinity command n<=6", t0, 10)
 
 
 def test_criterion_8_representation_laws():

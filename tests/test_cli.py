@@ -179,8 +179,8 @@ def test_verify_linfty_quilt_arity6(capsys, target):
 
 @pytest.mark.parametrize("argv,message", [
     (["--max-arity", "1"], "leaves nothing to check"),
-    (["--max-arity", "6", "--target", "mquilt"], "needs --deep"),
-], ids=["no-relation", "mquilt-arity6-without-deep"])
+    (["--max-arity", "7", "--target", "mquilt"], "needs --deep"),
+], ids=["no-relation", "mquilt-arity7-without-deep"])
 def test_verify_linfty_refuses_empty_or_partial_suite(capsys, argv, message):
     code, out, err = run(["verify", "linfty"] + argv, capsys)
     assert code == 2
@@ -341,6 +341,19 @@ def test_rep_nerve_depth_exceeded_exits_2(tmp_path, capsys):
                           "--cochain", str(c)], capsys)
     assert code == 2
     assert out == "" and "nerve depth 5" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("repeat, first", [
+    ("object x 1", 2), ("morphism gamma y x", 4), ("matrix gamma 0 0 0 0", 9)],
+    ids=["object", "morphism", "matrix"])
+def test_rep_check_diagram_repeated_declaration_exits_2(tmp_path, capsys, repeat, first):
+    # each of these files used to check VALID, keeping the last declaration
+    p = tmp_path / "dia.txt"
+    p.write_text(DIAGRAM + repeat + "\n")
+    code, out, err = run(["rep", "check-diagram", "--diagram", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["%s: line 10: %r repeats the %s of line %d"
+                                % (p, repeat, repeat.split()[0], first)]
 
 
 @pytest.mark.parametrize("action", ["check-diagram", "mc"])

@@ -5,7 +5,7 @@ import pytest
 
 from quiltops.rings import QQ, GF2, GF
 from quiltops.diagrams import (NonAssociative, NotFunctorial, NotHomomorphism,
-                               BadShape, parse_diagram, format_diagram, category_two_diagram)
+                               BadShape, DiagramSyntaxError, parse_diagram, format_diagram, category_two_diagram)
 
 from conftest import one_object_diagram, upper_triangular_to_diagonal
 
@@ -36,6 +36,19 @@ def test_identities_are_known_by_name():
     assert not cat.is_identity("id_q") and cat.is_identity("id_x")
     assert cat.compose("id_y", "id_q") == cat.compose("id_q", "id_x") == "id_q"
     assert d.matrix("id_y") == {(0, 0): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize("line, first", [
+    ("ring F2", 2), ("object x 1", 3), ("morphism gamma y x", 5),
+    ("compose gamma id_x gamma", 11), ("mult x 1 1 1 0", 6),
+    ("matrix gamma 0 0 0 0", 10)])
+def test_repeated_declaration_is_refused(line, first):
+    # a repeat must not replace the first declaration, nor a late object
+    # line wipe that object's structure constants
+    text = DIAGRAM_TEXT + "compose gamma id_x gamma\n" + line + "\n"
+    with pytest.raises(DiagramSyntaxError, match=r"^line 12: %r repeats the %s of line %d$"
+                       % (line, line.split()[0], first)):
+        parse_diagram(text)
 
 
 def test_one_object_trivial():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import quiltops
 from quiltops.extensions import (face, face_signs, boundary, boundary_sum,
-                                 tree_extensions, word_extensions,
+                                 tree_extensions, word_extensions, quilt_extensions,
                                  extension_sign, compose, compose_sums, _built,
                                  _deleted, _faces)
 from quiltops.formal import FormalSum, parse_formal
@@ -23,6 +23,8 @@ from quiltops.words import Word, WordInvalid, enumerate_words, parse_word
 from quiltops.quilts import Quilt, enumerate_quilts, parse_quilt, identity_quilt
 from quiltops import mquilt
 from quiltops.mquilt import MQuilt, mq_boundary
+
+from conftest import assert_as_validated
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quiltops"
 
@@ -356,11 +358,13 @@ def _unchecked_sites(source):
 
 
 def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
-    # faces by the face lemma (extensions), relabellings by the relabelling
-    # lemma (quilts), the two boundaries' sums, canonical by construction
-    # (extensions), and the marked normal form's class words and their
-    # relabelled winner by the class-word lemma (mquilt); a new caller needs
-    # its own lemma and exhaustive test
+    # faces by the face lemma and extensions by the extension lemma
+    # (extensions), relabellings by the relabelling lemma (quilts), the two
+    # boundaries' sums, canonical by construction (extensions), the marked
+    # normal form's class words and their relabelled winner by the class-word
+    # lemma, and modifications and R1 families by the insertion, modification
+    # and redistribution lemmas (mquilt); a new caller needs its own lemma and
+    # exhaustive test
     assert _unchecked_sites("def f(w):\n    return getattr(Word, '_unchecked')"
                             ) == [("f", 2, None)]
     assert _unchecked_sites("class C:\n    def g(self):\n        return self._unchecked"
@@ -371,9 +375,15 @@ def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
     assert sites == [
         ("extensions.py", "_built", "Word"), ("extensions.py", "_built", "Quilt"),
         ("extensions.py", "_built", "Word"), ("extensions.py", "boundary", "FormalSum"),
+        ("extensions.py", "tree_extensions", "Tree"),
+        ("extensions.py", "word_extensions", "Word"),
+        ("extensions.py", "quilt_extensions", "Quilt"),
         ("extensions.py", "boundary_sum", "FormalSum"),
         ("mquilt.py", "_class_words.place", "Word"), ("mquilt.py", "_prenormal", "Quilt"),
-        ("mquilt.py", "_prenormal", "Quilt"), ("quilts.py", "Quilt.relabel", "Quilt"),
+        ("mquilt.py", "_prenormal", "Quilt"), ("mquilt.py", "_families", "Tree"),
+        ("mquilt.py", "_families", "Quilt"), ("mquilt.py", "_inserted", "Word"),
+        ("mquilt.py", "modification", "Tree"), ("mquilt.py", "modification", "Quilt"),
+        ("quilts.py", "Quilt.relabel", "Quilt"),
         ("quilts.py", "enumerate_quilts", "Quilt"), ("trees.py", "Tree.relabel", "Tree"),
         ("words.py", "Word.relabel", "Word")]
 
@@ -555,6 +565,30 @@ def test_word_extension_counts_and_oracle():
                         assert sorted(got, key=Word.sort_key) == \
                             sorted(expect, key=Word.sort_key), \
                             (outer, inner, a)
+
+
+def test_extensions_build_as_validated():
+    # the extension lemma, on every pair of words, of trees and of quilts of
+    # total arity at most 5, at every slot; an arity-5 factor needs a unit
+    # as the other, which gives it back (test_units).  A quilt's word and
+    # tree are extensions of its factors' words and trees, checked first,
+    # so Quilt() checks only the axioms
+    built = []
+    for basis, extensions, check in (
+            (enumerate_words, word_extensions, assert_as_validated),
+            (enumerate_trees, tree_extensions, assert_as_validated),
+            (_quilts, quilt_extensions, lambda pair: Quilt(pair[0].word, pair[0].tree))):
+        count = 0
+        for m in range(1, 5):
+            for n in range(1, min(4, 6 - m) + 1):
+                for outer in basis(m):
+                    for inner in basis(n):
+                        for a in range(1, m + 1):
+                            for x in extensions(outer, inner, a):
+                                check(x)
+                                count += 1
+        built.append(count)
+    assert built == [37713, 7619, 46835]
 
 
 def test_extension_signs_golden():

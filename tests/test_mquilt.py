@@ -23,6 +23,7 @@ from quiltops.mquilt import (MQuilt, from_quilt, m_element, delta_element,
 from quiltops import linfty
 from quiltops.linfty import L0, L_full, P_full, linfty_residual_mquilt
 from test_linfty import _residual_by_shuffles
+from conftest import assert_as_validated
 
 GERSTENHABER_NAMES = ("M2", "P2", "L2", "P3'", "L3", "C3", "D3")
 
@@ -449,6 +450,29 @@ def test_outputs_are_reduced():
         assert _reduce(gerstenhaber_element(name)) == gerstenhaber_element(name)
 
 
+def test_faces_of_a_normal_form_key_are_reduced(monkeypatch):
+    # D3's last key is its own normal form, yet one prenormal face of it is
+    # an R1 leader: mq_boundary must reduce, or derivation2 fails
+    key = MQuilt(parse_quilt("4512131;4(5(2,3),1)"), 2)
+    face = MQuilt(parse_quilt("452131;4(5(2,3),1)"), 2)
+    reduced = MQuilt(parse_quilt("452131;4(2,5(3,1))"), 2)
+    assert _normal_form_of_key(key) == {key: 1}
+    assert mquilt._prenormal(face.quilt, frozenset(face.marked())) == (face, 1)
+    assert _normal_form_of_key(face) == {reduced: -1}
+    d = mq_boundary(FormalSum(ZZ, [(key, 1)]))
+    assert face not in d.terms and d.terms[reduced] == 1
+    assert verify_identity("derivation2").is_zero()
+    real = mquilt.mq_boundary
+
+    def unreduced(xs):
+        with monkeypatch.context() as m:
+            m.setattr(mquilt, "_reduce", lambda sum_: sum_)
+            return real(xs)
+
+    monkeypatch.setattr(mquilt, "mq_boundary", unreduced)
+    assert dict(verify_identity("derivation2").terms) == {face: -1, reduced: -1}
+
+
 def _families_by_member(key, every_word=False):
     """Oracle for _families over _signatures: for each marked edge (u, v)
     of key that can be made word-adjacent, the family built on key's own
@@ -578,6 +602,27 @@ def _later_words_reduce_to_zero():
                 (-c, echelon[m]) for m, c in rel.terms.items() if m in echelon])
             assert rel.is_zero(), (key, family)
     return len(mquilt._ECHELONS), later
+
+
+def test_families_build_as_validated(monkeypatch):
+    # the redistribution lemma, on every member of every family that the
+    # identities and the relations through arity 5, both routes, reach
+    _build_tables()
+    for n in (2, 3, 4, 5):
+        assert linfty_residual_mquilt(n).is_zero(), n
+        assert linfty.linfty_residual_integer_route(n).is_zero(), n
+    members, prenormal = [], mquilt._prenormal
+
+    def checked(quilt, mset):
+        assert_as_validated(quilt)
+        members.append(quilt)
+        return prenormal(quilt, mset)
+
+    monkeypatch.setattr(mquilt, "_prenormal", checked)
+    signatures = {sig for key in mquilt._ECHELONS for sig in _signatures(key)}
+    for sig in signatures:
+        assert _families.__wrapped__(sig) == _families(sig)
+    assert (len(mquilt._ECHELONS), len(signatures), len(members)) == (742, 145, 1282)
 
 
 def test_later_adjacent_words_give_relations_in_the_row_space():
@@ -789,6 +834,40 @@ def test_modifications_shapes():
     assert str(modification(q, 4, 1)) == "41232;4(1(3),2)"
     m5 = modification(q, 5, 1, (3, 2))
     assert str(m5.tree) == "1(4(3,2))"
+
+
+def _modifications(q):
+    """Every modification ad_delta makes of q, with its (kind, u, pair)."""
+    kids = q.tree.children
+    for u in range(1, q.n + 1):
+        for kind in (3, 4) if kids[u] else ():
+            yield (kind, u, None), modification(q, kind, u)
+        for pair in zip(kids[u], kids[u][1:]):
+            yield (5, u, pair), modification(q, 5, u, pair)
+
+
+def test_modifications_build_as_validated():
+    # the modification lemma, on every quilt of arity <= 4 and on every
+    # first-occurrence quilt of arity 5, which is enough: a modification
+    # commutes with relabelling, checked here on one seeded relabelling of
+    # each, and relabelling keeps quilts (the relabelling lemma)
+    rng = random.Random(29)
+    counts = []
+    for quilts in [enumerate_quilts(n) for n in range(1, 5)] + [first_occurrence_quilts(5)]:
+        count = 0
+        for q in quilts:
+            for _, mod in _modifications(q):
+                assert_as_validated(mod)
+                count += 1
+        counts.append(count)
+    for q in first_occurrence_quilts(5):
+        new = [0] + rng.sample(range(1, 6), 5)
+        moved = dict(_modifications(q.relabel(new)))
+        for (kind, u, pair), mod in _modifications(q):
+            key = kind, new[u], pair and (new[pair[0]], new[pair[1]])
+            assert moved.pop(key) == mod.relabel(new + [6])
+        assert not moved
+    assert counts == [0, 4, 78, 3576, 2561]
 
 
 def test_modification_refuses_a_pair_that_is_not_consecutive():
