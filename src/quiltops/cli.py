@@ -2,7 +2,7 @@
 
 Every verification suite is a thin driver over module operations; the
 exit code is 0 exactly when all checks pass, so CI can gate on the
-identities.  Homology from arity 6 and the marked L-infinity relation from
+identities.  Arity-6 homology and the marked L-infinity relation from
 arity 7 sit behind --deep: without it such a request exits 2 before any check
 runs, as does a --max-arity that leaves nothing to check or a homology
 --arity below 1, so a PASS never hides a skipped or empty suite.  Bad
