@@ -50,10 +50,11 @@ with the same tree a face of a quilt is a quilt.
   - No consecutive repeat: the one new adjacency is that of the letters
     around i.  Were both x, the word would hold x u x with u again
     outside, so u x u x or x u x u: interlacing.
-The last is the one condition a subsequence does not inherit, and _deleted
-checks it in O(1).  _built then makes the face with the unchecked
-constructors.  No letter repeats consecutively, so the faces of a word
-are distinct.
+The last is the one condition a subsequence does not inherit.  _faces
+numbers the caesurae, checks that condition in O(1) and slices out the
+face letters, all in one pass over the word; every face is then made with
+the unchecked constructors (boundary, or _built for the other callers).
+No letter repeats consecutively, so the faces of a word are distinct.
 
 Both boundaries hand FormalSum._unchecked a dict that is already canonical.
 boundary: the faces of one word are distinct and their signs are +-1.
@@ -81,46 +82,42 @@ def face(x, i):
     word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
     if not (0 <= i < len(word)):
         raise IndexError("occurrence %d out of range" % i)
-    if word.count(word.letters[i]) < 2:
-        return None
-    return _built(_deleted(word.letters, i), tree)
-
-
-def face_signs(letters):
-    """(i, sign) for every occurrence i of a repeated vertex, left to right.
-
-    Caesurae (non-final occurrences) are numbered 1, 2, ... left to right;
-    the k'th caesura has sign (-1)^k.  A last occurrence whose previous
-    occurrence is the k'th caesura is numbered k+1.
-    """
-    last = {x: i for i, x in enumerate(letters)}
-    number = {}     # vertex -> number of its latest caesura
-    k = 0
-    out = []
-    for i, x in enumerate(letters):
-        if last[x] != i:
-            k += 1
-            number[x] = k
-            out.append((i, -1 if k % 2 else 1))
-        elif x in number:
-            out.append((i, 1 if number[x] % 2 else -1))
-    return out
-
-
-def _deleted(letters, i):
-    """letters without position i, whose letters on either side differ."""
-    if 0 < i < len(letters) - 1 and letters[i - 1] == letters[i + 1]:
-        raise WordInvalid("deleting position %d of %r repeats a letter" % (i, letters))
-    return letters[:i] + letters[i + 1:]
+    return next((_built(f, tree) for j, f, _ in _faces(word.letters) if j == i), None)
 
 
 def _faces(letters):
-    """(face letters, sign) for every (i, sign) of face_signs."""
-    return [(_deleted(letters, i), s) for i, s in face_signs(letters)]
+    """(i, face letters, sign) for every occurrence i of a repeated vertex,
+    left to right, in one pass.
+
+    Caesurae (non-final occurrences) are numbered 1, 2, ... left to right;
+    the k'th caesura has sign (-1)^k.  A last occurrence whose previous
+    occurrence is the k'th caesura is numbered k+1.  A deletion whose
+    neighbours are equal raises WordInvalid (the face lemma's condition).
+    """
+    last = {x: i for i, x in enumerate(letters)}
+    latest = {}     # vertex -> sign of its latest caesura
+    s, end = 1, len(letters) - 1
+    out = []
+    for i, x in enumerate(letters):
+        if last[x] != i:
+            t = s = latest[x] = -s
+        elif x in latest:
+            t = -latest[x]
+        else:
+            continue
+        if 0 < i < end and letters[i - 1] == letters[i + 1]:
+            raise WordInvalid("deleting position %d of %r repeats a letter" % (i, letters))
+        out.append((i, letters[:i] + letters[i + 1:], t))
+    return out
+
+
+def face_signs(letters):
+    """(i, sign) for every face of letters, left to right (see _faces)."""
+    return [(i, s) for i, _, s in _faces(letters)]
 
 
 def _built(letters, tree):
-    """A face from _deleted, a word or with a tree a quilt, by the face lemma."""
+    """A face from _faces, a word or with a tree a quilt, by the face lemma."""
     if tree is None:
         return Word._unchecked(letters, max(letters))
     return Quilt._unchecked(Word._unchecked(letters, tree.n), tree)
@@ -128,8 +125,14 @@ def _built(letters, tree):
 
 def boundary(x):
     """Signed sum of faces; lowers degree by one."""
-    word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
-    return FormalSum._unchecked(ZZ, {_built(f, tree): s for f, s in _faces(word.letters)})
+    word = Word._unchecked
+    if isinstance(x, Quilt):
+        quilt, tree, n = Quilt._unchecked, x.tree, x.word.n
+        faces = {quilt(word(f, n), tree): s for _, f, s in _faces(x.word.letters)}
+    else:
+        n = x.n
+        faces = {word(f, n): s for _, f, s in _faces(x.letters)}
+    return FormalSum._unchecked(ZZ, faces)
 
 
 # ----------------------------------------------------------- extensions
@@ -269,7 +272,10 @@ def boundary_sum(xs):
         for x, c in xs.terms.items():
             word, tree = (x.word, x.tree) if isinstance(x, Quilt) else (x, None)
             i, ls = index.setdefault(tree, len(index)), word.letters
-            for f, s in table[ls] if ls in table else table.setdefault(ls, _faces(ls)):
+            faces = table.get(ls)
+            if faces is None:
+                faces = table[ls] = _faces(ls)
+            for _, f, s in faces:
                 yield (f, i), c * s
 
     terms = FormalSum(xs.ring, pairs()).terms

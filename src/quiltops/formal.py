@@ -9,7 +9,11 @@ deterministic.
 There is one accumulation loop: the FormalSum constructor.  It adds a
 sequence of (key, coefficient) pairs into a single dict, inserting a key
 at its first nonzero coefficient and dropping it when it cancels, so the
-insertion order of `terms` depends only on the pair sequence.
+insertion order of `terms` depends only on the pair sequence (a key that
+comes back after cancelling goes last).  It coerces every coefficient,
+probes the dict once per pair, and tests a coefficient for zero by its
+truthiness, not by ring.is_zero: by the canonical-zero lemma (rings) every
+result of coerce and add is zero exactly when it is the int 0.
 linear_combination, bind, combine, scale and map_keys all hand a pair
 sequence to it.  The one trusted constructor, FormalSum._unchecked, takes
 a dict that is already canonical; its two callers, extensions.boundary and
@@ -37,15 +41,17 @@ class FormalSum:
         self.ring = ring
         data = {}
         if terms:
-            coerce, add, is_zero = ring.coerce, ring.add, ring.is_zero
+            coerce, add, get = ring.coerce, ring.add, data.get
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 c = coerce(coeff)
-                if key in data:
-                    c = add(data[key], c)
-                if is_zero(c):
-                    data.pop(key, None)
-                else:
+                old = get(key)
+                if old is None:
+                    if c:
+                        data[key] = c
+                elif c := add(old, c):
                     data[key] = c
+                else:
+                    del data[key]
         self.terms = data
 
     @classmethod
@@ -139,15 +145,19 @@ def linear_combination(ring, scaled_sums):
 
     The coefficients c and those of each s (which may lie in another ring,
     usually ZZ) are coerced into ring.  Terms are visited pair by pair in
-    the order given.
+    the order given; with c = 1 the terms of an s over ring pass through
+    unmultiplied.
     """
     coerce, mul = ring.coerce, ring.mul
 
     def terms():
         for c, s in scaled_sums:
             c = coerce(c)
-            for k, v in s.terms.items():
-                yield k, mul(c, coerce(v))
+            if c == 1 and s.ring == ring:
+                yield from s.terms.items()
+            else:
+                for k, v in s.terms.items():
+                    yield k, mul(c, coerce(v))
 
     return FormalSum(ring, terms())
 

@@ -470,7 +470,7 @@ def mq_boundary(xs):
     built by the face lemma (extensions), not revalidated."""
     return _normal_sum(xs.ring, ((c * s, _built(f, x.quilt.tree), x.marked())
                                  for x, c in xs.terms.items()
-                                 for f, s in _faces(x.quilt.word.letters)))
+                                 for _, f, s in _faces(x.quilt.word.letters)))
 
 
 def mq_permute(xs, sigma):

@@ -28,7 +28,9 @@ The trees come from shape orbits (the orbit lemma in trees): the 442
 first-occurrence quilts of arity 5 sit on 105 trees of the 14 planar
 shapes, and each renamed tree is an entry of its shape's orbit, so one
 call builds each of the 1,680 labelled trees once, in a table that lives
-for the call, and its quilts share them.
+for the call, and its quilts share them.  The 105 first-occurrence trees
+are likewise grown for several words but validated once per call
+(compatible_trees' table).
 """
 
 from itertools import permutations
@@ -157,15 +159,19 @@ def parse_quilt(text):
     return Quilt(parse_word(ws), parse_tree(ts))
 
 
-def compatible_trees(word):
+def compatible_trees(word, built=None):
     """All trees making the word into a quilt, built constructively.
 
     Vertices are inserted as leaves in down-order (ancestors always occur
     wholly before descendants, so this reaches every compatible tree).
     At each insertion the two quilt axioms are checked against the
     vertices already placed; relations between placed vertices never
-    change later, so the pruning is exact.
+    change later, so the pruning is exact.  built, a dict (parent,
+    children) -> Tree that the calls of one enumeration share, makes each
+    distinct tree once, through the validating constructor.
     """
+    if built is None:
+        built = {}
     n = word.n
     letters = word.letters
     first, last = {}, {}
@@ -209,7 +215,11 @@ def compatible_trees(word):
             for v, p in parent.items():
                 par[v] = p
                 kid[v] = tuple(children[v])
-            out.append(Tree(par, kid))
+            key = tuple(par), tuple(kid)
+            tree = built.get(key)
+            if tree is None:
+                tree = built[key] = Tree(*key)
+            out.append(tree)
             return
         u = order[k]
         for p in order[:k]:
@@ -234,8 +244,9 @@ def compatible_trees(word):
 def first_occurrence_quilts(n, degree=None):
     """The quilts of arity n (optionally one degree) whose word first
     visits 1, 2, ..., n, canonically ordered."""
+    built = {}
     return [Quilt(word, tree) for word in first_occurrence_words(n, degree)
-            for tree in compatible_trees(word)]
+            for tree in compatible_trees(word, built)]
 
 
 def enumerate_quilts(n, degree=None):
@@ -248,7 +259,9 @@ def enumerate_quilts(n, degree=None):
     pi o tau of the orbit of s (the orbit lemma in trees).  The orbits
     rank their trees once by Tree.sort_key, so each word's trees sort by
     an integer."""
-    trees_of = {w: ts for w in first_occurrence_words(n, degree) if (ts := compatible_trees(w))}
+    built = {}
+    trees_of = {w: ts for w in first_occurrence_words(n, degree)
+                if (ts := compatible_trees(w, built))}
     firsts = dict.fromkeys(Quilt(w, t).tree for w, ts in trees_of.items() for t in ts)  # validated
     news = [(0,) + p for p in permutations(range(1, n + 1))]
     orbits, renamed = {}, []

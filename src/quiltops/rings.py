@@ -7,9 +7,22 @@ an int when it is integral and as a fractions.Fraction only when its
 denominator is a proper one; QQ.coerce refuses floats, and QQ.inv is the
 one division.  A ring object carries the arithmetic so that elements
 themselves can stay plain.
+
+Canonical-zero lemma: in ZZ, QQ and GF(p), every result of coerce, and of
+add, mul and neg on such results, is zero exactly when it is the int 0, so
+its truthiness is the negation of is_zero.
+  - ZZ: every result is an int (coerce turns an int subclass or an
+    integral Fraction into one, and ints are closed under +, * and -).
+  - QQ: every result is an int or a Fraction whose denominator is not 1
+    (coerce, add and mul turn an integral Fraction into its numerator, and
+    negating keeps the denominator).  Such a Fraction is not zero, since
+    Fraction(0) has denominator 1.
+  - GF(p): every result is an int reduced mod p, 0 only for zero.
+The FormalSum constructor rests on this when it drops a coefficient.
 """
 
 from fractions import Fraction
+import operator
 
 
 class RingError(ValueError):
@@ -52,20 +65,14 @@ class IntegerRing(Ring):
     zero, one = 0, 1
 
     def coerce(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
-            if isinstance(x, Fraction) and x.denominator == 1:
-                return int(x)
-            raise RingError("not an integer: %r" % (x,))
-        return x
+        if type(x) is int:
+            return x
+        if (isinstance(x, int) and not isinstance(x, bool)
+                or isinstance(x, Fraction) and x.denominator == 1):
+            return int(x)
+        raise RingError("not an integer: %r" % (x,))
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add, mul, neg = operator.add, operator.mul, operator.neg  # builtins: unbound
 
     def is_zero(self, a):
         return a == 0
@@ -84,10 +91,14 @@ class RationalRing(Ring):
 
     def add(self, a, b):
         c = a + b
+        if type(c) is int:
+            return c
         return c.numerator if c.denominator == 1 else c
 
     def mul(self, a, b):
         c = a * b
+        if type(c) is int:
+            return c
         return c.numerator if c.denominator == 1 else c
 
     def neg(self, a):

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from quiltops.rings import QQ, GF2
+from quiltops.rings import ZZ, QQ, GF2
 from quiltops.diagrams import FiniteCategory, DiagramOfAlgebras
 from quiltops.cochains import Cochain
 from quiltops.quilts import Quilt
@@ -22,6 +24,20 @@ def assert_as_validated(x):
         assert [getattr(part, s) for s in slots] == [getattr(want, s) for s in slots], x
     if isinstance(x, Quilt):
         Quilt(x.word, x.tree)
+
+
+def coefficients(ring, bound=None):
+    """A hypothesis strategy for the values ring.coerce takes: ints, bools
+    and Fractions (over ZZ integral Fractions and no bools, over GF(p) a
+    denominator prime to p); with a bound, numerators and denominators
+    within it."""
+    ints = st.integers(-bound, bound) if bound else st.integers()
+    fractions = st.fractions(-bound, bound, max_denominator=bound) if bound else st.fractions()
+    if ring == ZZ:
+        return st.one_of(ints, ints.map(Fraction))
+    if ring != QQ:
+        fractions = fractions.filter(lambda f: f.denominator % ring.p)
+    return st.one_of(ints, st.booleans(), fractions)
 
 
 def upper_triangular_to_diagonal(ring=QQ):

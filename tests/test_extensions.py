@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import random
@@ -14,7 +15,7 @@ import quiltops
 from quiltops.extensions import (face, face_signs, boundary, boundary_sum,
                                  tree_extensions, word_extensions, quilt_extensions,
                                  extension_sign, compose, compose_sums, _built,
-                                 _deleted, _faces)
+                                 _faces)
 from quiltops.formal import FormalSum, parse_formal
 from quiltops.linfty import L0, P0
 from quiltops.rings import ZZ, QQ, GF2
@@ -271,7 +272,7 @@ def test_every_face_of_a_quilt_is_a_quilt():
     built = 0
     for n in range(1, 6):
         for q in enumerate_quilts(n):
-            for f, _ in _faces(q.word.letters):
+            for _, f, _ in _faces(q.word.letters):
                 _assert_built_as_validated(f, q.tree)
                 built += 1
     assert built == 111276
@@ -281,7 +282,7 @@ def test_every_face_of_a_word_is_a_word():
     built = 0
     for n in range(1, 6):
         for w in enumerate_words(n):
-            for f, _ in _faces(w.letters):
+            for _, f, _ in _faces(w.letters):
                 _assert_built_as_validated(f, None)
                 built += 1
     assert built == 49954
@@ -314,20 +315,77 @@ def test_mq_boundary_faces_build_as_validated(monkeypatch):
     assert (len(keys), faces, sum(not g.is_zero() for g in got)) == (4064, 4968, 612)
 
 
+def _face_signs_by_caesurae(letters):
+    """Oracle for the signs of _faces: face_signs before it became a
+    projection of _faces, numbering the caesurae in a pass of its own."""
+    last = {x: i for i, x in enumerate(letters)}
+    number = {}     # vertex -> number of its latest caesura
+    k = 0
+    out = []
+    for i, x in enumerate(letters):
+        if last[x] != i:
+            k += 1
+            number[x] = k
+            out.append((i, -1 if k % 2 else 1))
+        elif x in number:
+            out.append((i, 1 if number[x] % 2 else -1))
+    return out
+
+
+def _deleted(letters, i):
+    """Oracle for the face letters of _faces: letters without position i,
+    whose letters on either side differ."""
+    if 0 < i < len(letters) - 1 and letters[i - 1] == letters[i + 1]:
+        raise WordInvalid("deleting position %d of %r repeats a letter" % (i, letters))
+    return letters[:i] + letters[i + 1:]
+
+
+def _faces_by_composition(letters):
+    """Oracle for _faces: the signs first, then one deletion per face."""
+    return [(i, _deleted(letters, i), s) for i, s in _face_signs_by_caesurae(letters)]
+
+
+def _outcome(fn, letters):
+    try:
+        return fn(letters)
+    except WordInvalid:
+        return WordInvalid
+
+
+def test_faces_match_composition_oracle():
+    # every word of arity <= 5, and every letter sequence over 1..3 of
+    # length <= 7, words or not, so that the refusals are compared too
+    counts = [0, 0]
+    for n in range(1, 6):
+        for w in enumerate_words(n):
+            assert _faces(w.letters) == _faces_by_composition(w.letters), str(w)
+            counts[0] += 1
+    for length in range(1, 8):
+        for letters in itertools.product((1, 2, 3), repeat=length):
+            got = _outcome(_faces, letters)
+            assert got == _outcome(_faces_by_composition, letters), letters
+            counts[1] += got is WordInvalid
+    assert counts == [11369, 2421]
+
+
 def test_deleted_refuses_a_new_repeat():
-    # x u x with u not repeated: the one condition a face does not inherit
+    # x u x with u repeated elsewhere: the one condition a face does not
+    # inherit, met only by letters that are not a word
     with pytest.raises(WordInvalid):
-        _deleted((1, 2, 1), 1)
-    assert _deleted((1, 2, 1, 3), 2) == (1, 2, 3)
+        _faces((1, 2, 1, 2))
+    with pytest.raises(WordInvalid):
+        _faces((3, 1, 2, 1, 3, 2))
+    assert _faces((1, 2, 1, 3)) == [(0, (2, 1, 3), -1), (2, (1, 2, 3), 1)]
 
 
 class _UncheckedUses(ast.NodeVisitor):
     """(enclosing class and function, line, owner) of every use of an
     unchecked constructor: an attribute (owner the name it is read from) or
-    name _unchecked, or the string "_unchecked"."""
+    name _unchecked, or the string "_unchecked"; with another name, every
+    use of that name."""
 
-    def __init__(self):
-        self.scope, self.sites = [], []
+    def __init__(self, name="_unchecked"):
+        self.name, self.scope, self.sites = name, [], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -337,7 +395,7 @@ class _UncheckedUses(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def _check(self, node, name, owner=None):
-        if name == "_unchecked":
+        if name == self.name:
             self.sites.append((".".join(self.scope), node.lineno, owner))
         self.generic_visit(node)
 
@@ -351,8 +409,8 @@ class _UncheckedUses(ast.NodeVisitor):
         self._check(node, node.value)
 
 
-def _unchecked_sites(source):
-    uses = _UncheckedUses()
+def _unchecked_sites(source, name="_unchecked"):
+    uses = _UncheckedUses(name)
     uses.visit(ast.parse(source))
     return uses.sites
 
@@ -374,7 +432,8 @@ def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
              for scope, _, owner in _unchecked_sites(path.read_text())]
     assert sites == [
         ("extensions.py", "_built", "Word"), ("extensions.py", "_built", "Quilt"),
-        ("extensions.py", "_built", "Word"), ("extensions.py", "boundary", "FormalSum"),
+        ("extensions.py", "_built", "Word"), ("extensions.py", "boundary", "Word"),
+        ("extensions.py", "boundary", "Quilt"), ("extensions.py", "boundary", "FormalSum"),
         ("extensions.py", "tree_extensions", "Tree"),
         ("extensions.py", "word_extensions", "Word"),
         ("extensions.py", "quilt_extensions", "Quilt"),
@@ -388,10 +447,23 @@ def test_unchecked_constructors_are_used_only_for_faces_and_relabellings():
         ("words.py", "Word.relabel", "Word")]
 
 
+def test_object_new_is_called_only_by_the_unchecked_constructors():
+    # a build that inlined object.__new__ would skip validation without
+    # showing up among the _unchecked sites above
+    assert _unchecked_sites("def f():\n    return getattr(object, '__new__')", "__new__"
+                            ) == [("f", 2, None)]
+    sites = [(path.name, scope, owner) for path in sorted(SRC.glob("*.py"))
+             for scope, _, owner in _unchecked_sites(path.read_text(), "__new__")]
+    assert sites == [("formal.py", "FormalSum._unchecked", "object"),
+                     ("quilts.py", "Quilt._unchecked", "object"),
+                     ("trees.py", "Tree._unchecked", "object"),
+                     ("words.py", "Word._unchecked", "object")]
+
+
 def test_faces_of_one_word_are_distinct():
     for n in range(1, 6):
         for w in enumerate_words(n):
-            faces = [f for f, _ in _faces(w.letters)]
+            faces = [f for _, f, _ in _faces(w.letters)]
             assert len(set(faces)) == len(faces), str(w)
 
 

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiltops.formal import FormalSum, combine, ring_map, parse_formal
 from quiltops.rings import ZZ, QQ, GF2, GF, RingError, parse_ring
 from quiltops.words import parse_word
+
+from conftest import coefficients
 
 
 def test_combine_basics():
@@ -165,3 +168,43 @@ def test_map_keys_sums_collisions_in_order():
                                (GF2, [1] * 7, [("a", 1)])):
         s = FormalSum(ring, zip(keys, coeffs))
         assert list(s.map_keys(lambda k: k[0]).terms.items()) == want, ring
+
+
+def _accumulate_by_is_zero(ring, pairs):
+    """Oracle for the FormalSum constructor: its loop before it tested
+    zero by truthiness (the canonical-zero lemma), with two dict probes and
+    ring.is_zero on every pair."""
+    data = {}
+    for key, coeff in pairs:
+        c = ring.coerce(coeff)
+        if key in data:
+            c = ring.add(data[key], c)
+        if ring.is_zero(c):
+            data.pop(key, None)
+        else:
+            data[key] = c
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([ZZ, QQ, GF(2), GF(5)]))
+def test_constructor_matches_is_zero_oracle(data, ring):
+    # a stream on four keys, then the negation of all it has left, so that
+    # every key cancels, then more pairs, so that keys come back
+    pairs = st.lists(st.tuples(st.sampled_from("abcd"), coefficients(ring, 3)), max_size=25)
+    head, tail = data.draw(pairs), data.draw(pairs)
+    stream = head + [(k, -v) for k, v in _accumulate_by_is_zero(ring, head).items()] + tail
+    got, want = FormalSum(ring, stream).terms, _accumulate_by_is_zero(ring, stream)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert FormalSum(ring, dict(stream)).terms == _accumulate_by_is_zero(ring, dict(stream).items())
+
+
+def test_constructor_puts_a_key_that_comes_back_last():
+    for ring, stream in ((ZZ, [("a", 1), ("b", 1), ("a", -1), ("c", 1), ("a", 2)]),
+                         (QQ, [("a", Fraction(1, 2)), ("b", 1), ("a", Fraction(-1, 2)),
+                               ("c", 1), ("a", 2)]),
+                         (GF2, [("a", 1), ("b", 1), ("a", 1), ("c", 1), ("a", 2), ("a", 3)])):
+        s = FormalSum(ring, stream)
+        assert list(s.terms) == ["b", "c", "a"], ring
+        assert list(s.terms.items()) == list(_accumulate_by_is_zero(ring, stream).items())

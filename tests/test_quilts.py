@@ -114,11 +114,13 @@ def test_degree_zero_are_linear_extensions():
 
 
 def test_constructive_matches_filter():
-    # the exhaustive filter stays as the oracle for the grown trees
+    # the exhaustive filter stays as the oracle for the grown trees, with
+    # or without a table of built trees shared by the words of one arity
     for n in (1, 2, 3, 4):
-        trees = enumerate_trees(n)
+        trees, built = enumerate_trees(n), {}
         for w in enumerate_words(n):
             cons = compatible_trees(w)
+            assert compatible_trees(w, built) == cons, str(w)
             filt = []
             for t in trees:
                 try:
@@ -313,8 +315,8 @@ def test_enumeration_validates_only_first_occurrence_quilts(monkeypatch):
 def test_enumeration_refuses_an_incompatible_tree(monkeypatch):
     # relabelling carries validity over, not invalidity away: a bad tree
     # among the first-occurrence quilts is refused before it is relabelled
-    def with_a_bad_tree(word):
-        ts = compatible_trees(word)
+    def with_a_bad_tree(word, *table):
+        ts = compatible_trees(word, *table)
         return ts + [next(t for t in enumerate_trees(word.n) if t not in ts)]
 
     monkeypatch.setattr(quilts, "compatible_trees", with_a_bad_tree)

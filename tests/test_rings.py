@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiltops.formal import FormalSum
-from quiltops.rings import GF, QQ, RingError
+from quiltops.rings import GF, QQ, ZZ, RingError
+
+from conftest import coefficients
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quiltops"
 
@@ -65,6 +67,36 @@ def test_prime_field_takes_ints_and_fractions():
     with pytest.raises(RingError):
         FormalSum(F5, [("x", 2.5)])
     assert FormalSum(F5, [("x", Fraction(5, 2))]).terms == {}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from([ZZ, QQ, GF(2), GF(5)]))
+def test_canonical_zero_lemma(data, ring):
+    # every result of coerce, and of add, mul and neg on such results, is
+    # falsy exactly when is_zero holds, and is an int unless it is a proper
+    # fraction of QQ: the FormalSum constructor drops a coefficient by this
+    x, y, z = (ring.coerce(data.draw(coefficients(ring))) for _ in range(3))
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    results = [x, y, z, add(x, y), mul(x, y), neg(x), add(x, neg(x)), mul(x, ring.zero),
+               add(mul(x, y), mul(neg(x), y)), add(add(x, y), neg(y)), mul(add(x, y), z)]
+    for v in results:
+        assert bool(v) == (not ring.is_zero(v)), (ring, results)
+        assert type(v) is int or ring == QQ and type(v) is Fraction and v.denominator != 1, (
+            ring, results)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.0, 1.0, 2.5, Fraction(1, 2), "1", None])
+def test_zz_coerce_refuses_bools_floats_and_proper_fractions(bad):
+    with pytest.raises(RingError):
+        ZZ.coerce(bad)
+
+
+def test_zz_coerce_hands_back_plain_ints():
+    class Big(int):
+        pass
+
+    for x, want in ((7, 7), (Fraction(-6, 3), -2), (Big(0), 0), (Big(5), 5)):
+        assert type(ZZ.coerce(x)) is int and ZZ.coerce(x) == want
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), False])

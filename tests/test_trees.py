@@ -100,9 +100,11 @@ def _counting_validations(monkeypatch):
 
 def test_enumerated_quilts_share_equal_trees(monkeypatch):
     # one object per labelled tree within a call, from its shape's orbit;
-    # only compatible_trees validates, once per first-occurrence quilt
-    from quiltops.quilts import enumerate_quilts
-    for n, validated in ((4, 33), (5, 442)):
+    # only compatible_trees validates, once per distinct first-occurrence
+    # tree (33 and 442 quilts sit on 15 and 105 trees)
+    from quiltops.quilts import enumerate_quilts, first_occurrence_quilts
+    for n, validated in ((4, 15), (5, 105)):
+        firsts = {q.tree.key() for q in first_occurrence_quilts(n)}
         built = _counting_validations(monkeypatch)
         shared = {}
         for q in enumerate_quilts(n):
@@ -110,6 +112,7 @@ def test_enumerated_quilts_share_equal_trees(monkeypatch):
             assert key == (q.tree.n, q.tree.parent, q.tree.children)
             assert shared.setdefault(key, q.tree) is q.tree
         assert len(built) == validated
+        assert {t.key() for t in built} == firsts and len(firsts) == validated
         assert len(shared) == len(enumerate_trees(n))
 
 
